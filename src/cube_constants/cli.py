@@ -16,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    _KIND_ALIASES,
     CubeError,
-    SupportFamily,
     make_family,
     primes_upto,
 )
@@ -31,7 +31,7 @@ from .projection import (
     squarefree_mc,
 )
 from .sidon import kappa_constant, sidon_exact
-from .verify import combinatorics_document, run_suite
+from .verify import _combinatorics_checks, run_suite
 
 EXIT_OK = 0
 EXIT_GUARD = 2
@@ -113,7 +113,7 @@ def _spec_fields(spec: dict) -> tuple[str, int, int | None]:
     kind = spec.get("kind")
     if not isinstance(kind, str):
         raise CubeError("family spec is missing a string 'kind'")
-    kind = {"squarefree": "square-free"}.get(kind, kind)
+    kind = _KIND_ALIASES.get(kind, kind)
     n = spec.get("N")
     if not isinstance(n, int):
         raise CubeError("family spec is missing an integer 'N'")
@@ -123,10 +123,6 @@ def _spec_fields(spec: dict) -> tuple[str, int, int | None]:
 
 def _fraction_doc(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def _family_doc(family: SupportFamily) -> dict:
-    return family.to_json_dict()
 
 
 def _jsonable(value):
@@ -217,7 +213,7 @@ def _cmd_exact(args) -> int:
         else:
             family = make_family(spec)
             lam = lambda_exact(family, threads=threads)
-            fam_doc = _family_doc(family)
+            fam_doc = family.to_json_dict()
             method = "exact"
     doc = {
         "lambda": _fraction_doc(lam),
@@ -240,7 +236,7 @@ def _cmd_mc(args) -> int:
         "ci95": [est.ci95[0], est.ci95[1]],
         "samples": est.samples,
         "seed": est.seed,
-        "family": _family_doc(family),
+        "family": family.to_json_dict(),
     }
     _emit(doc, args.format, args.out, _kv_rows(doc))
     return EXIT_OK
@@ -294,7 +290,7 @@ def _cmd_sidon(args) -> int:
         "witness": list(result.witness.coeffs),
         "orthants_solved": result.orthants_solved,
         "tol": result.tol,
-        "family": _family_doc(family),
+        "family": family.to_json_dict(),
     }
     _emit(doc, args.format, args.out, _kv_rows(doc))
     return EXIT_OK
@@ -317,19 +313,19 @@ def _report_doc(report) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_suite(
-        args.suite,
-        max_n=args.max_n,
-        mckay_max_n=args.mckay_max_n,
-        desigforo_max_n=args.desigforo_max_n,
-        klimek_trials=args.trials,
-        seed=args.seed,
-    )
-    failed = [r for r in reports if not r.passed]
     if args.suite == "combinatorics":
-        doc = combinatorics_document(max_n=args.max_n)
+        # one pass yields the written document and the reports behind the exit code
+        reports, doc = _combinatorics_checks(args.max_n)
         _emit(doc, args.format, args.out, None)
     else:
+        reports = run_suite(
+            args.suite,
+            max_n=args.max_n,
+            mckay_max_n=args.mckay_max_n,
+            desigforo_max_n=args.desigforo_max_n,
+            klimek_trials=args.trials,
+            seed=args.seed,
+        )
         doc = [_report_doc(r) for r in reports]
         header = ["name", "lhs", "rhs", "pass", "context"]
         rows = [
@@ -343,12 +339,13 @@ def _cmd_verify(args) -> int:
             for r in doc
         ]
         _emit(doc, args.format, args.out, (header, rows))
+    failed = any(not r.passed for r in reports)
     return EXIT_VERIFY if failed else EXIT_OK
 
 
 def _cmd_families(args) -> int:
     family = make_family(parse_family_spec(args.family))
-    doc = _family_doc(family)
+    doc = family.to_json_dict()
     doc["size"] = len(family.masks)
     doc["sets"] = [sorted(mask.elements()) for mask in family.sets]
     _emit(doc, args.format, args.out, _kv_rows(doc))
@@ -478,6 +475,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact rationals such as exact --N 100000 --d 2 run to 30000+ digits;
+    # the CLI owns its process, so lift the int/str conversion cap for good
+    sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CubeError, SizeGuardError
+from .core import CubeError, SizeGuardError, character_sum_table
 from .hermite import hermite_poly
 
 MAX_CLASS_ORDER = 20
@@ -199,34 +199,6 @@ class PowerIdentityReport:
     points_checked: int
 
 
-def _level_values_int64(n: int, d: int) -> np.ndarray:
-    """sum_{|S|=d} chi_S(x) for every point mask x, exact in int64.
-
-    One unnormalized Walsh butterfly applied to the indicator of the weight-d
-    masks; values are bounded by C(n,d) so int64 never overflows for n <= 24.
-    """
-    indicator = np.zeros(1 << n, dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    weights = np.bitwise_count(masks)
-    indicator[weights == d] = 1
-    return _butterfly_int64(indicator)
-
-
-def _butterfly_int64(values: np.ndarray) -> np.ndarray:
-    w = values.copy()
-    size = len(w)
-    step = 1
-    while step < size:
-        w = w.reshape(-1, 2 * step)
-        left = w[:, :step].copy()
-        right = w[:, step:].copy()
-        w[:, :step] = left + right
-        w[:, step:] = left - right
-        w = w.reshape(size)
-        step *= 2
-    return w
-
-
 def verify_power_identity(d: int, n: int) -> PowerIdentityReport:
     """Check d! * E_d(x) = (sum x_i)^d - sum_k C_{d,k,N} E_{d-2k}(x) at every
     cube point, where E_j(x) = sum_{|S|=j} x^S; exact integers throughout."""
@@ -234,8 +206,13 @@ def verify_power_identity(d: int, n: int) -> PowerIdentityReport:
         raise CubeError(f"need d <= N, got d={d}, N={n}")
     if n > 14 or d > 6:
         raise SizeGuardError(f"power identity check capped at N=14, d=6; got N={n}, d={d}")
-    level_values = {j: _level_values_int64(n, j) for j in range(d % 2, d + 1, 2)}
-    coord_sum = n - 2 * np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    points = np.arange(1 << n, dtype=np.uint64)
+    weights = np.bitwise_count(points)
+    # E_j(x) for every point mask x; |E_j| <= C(N, j), so int64 is exact
+    level_values = {
+        j: character_sum_table(points[weights == j], n) for j in range(d % 2, d + 1, 2)
+    }
+    coord_sum = n - 2 * weights.astype(np.int64)
     rhs = coord_sum ** d
     for k in range(1, d // 2 + 1):
         rhs = rhs - c_coefficient(d, k, n) * level_values[d - 2 * k]

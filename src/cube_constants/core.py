@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
+import numpy as np
+
 Scalar = Union[int, float, Fraction]
 
 MAX_DIMENSION = 63            # active coordinates must fit one machine word
@@ -339,6 +341,39 @@ def _butterfly(values: list) -> list:
                 w[j + step] = a - b
         step <<= 1
     return w
+
+
+def walsh_butterfly_inplace(w: np.ndarray) -> np.ndarray:
+    """Unnormalized transform down axis 0, in place: w[S] <- sum_x w[x] chi_S(x).
+
+    Axis 0 has power-of-two length; trailing axes are independent columns.
+    Integer input stays exact while the sums fit its dtype.  The numpy
+    counterpart of _butterfly, with the same a+b, a-b order.  Returns w.
+    """
+    if not w.flags.c_contiguous:
+        raise CubeError("in-place butterfly needs a C-contiguous array")
+    size = w.shape[0]
+    step = 1
+    while step < size:
+        v = w.reshape(-1, 2 * step, *w.shape[1:])
+        left = v[:, :step].copy()
+        v[:, :step] += v[:, step:]
+        v[:, step:] *= -1
+        v[:, step:] += left
+        step *= 2
+    return w
+
+
+def character_sum_table(masks: np.ndarray, n: int, coeffs: np.ndarray | None = None) -> np.ndarray:
+    """sum_S c_S chi_S(x) at every point mask x of the n-cube, S over masks.
+
+    Scatters the coefficients (1 for every set when coeffs is None, giving
+    exact int64 sums bounded by the family size) and runs one butterfly.
+    """
+    dtype = np.int64 if coeffs is None else coeffs.dtype
+    table = np.zeros(1 << n, dtype=dtype)
+    table[masks.astype(np.int64)] = 1 if coeffs is None else coeffs
+    return walsh_butterfly_inplace(table)
 
 
 def _check_transform_length(values: Sequence) -> int:

@@ -23,8 +23,10 @@ from .core import (
     CubeError,
     SizeGuardError,
     SupportFamily,
+    character_sum_table,
     family_squarefree,
     primes_upto,
+    walsh_butterfly_inplace,
 )
 
 _WHT_MAX_DIRECT = 22  # 2^22 int64 = 32 MB per value table
@@ -102,33 +104,10 @@ def _compact_masks(family: SupportFamily) -> tuple[np.ndarray, int]:
     return np.array(compact, dtype=np.uint64), n_act
 
 
-def _butterfly_int64_inplace(w: np.ndarray) -> np.ndarray:
-    size = len(w)
-    step = 1
-    while step < size:
-        v = w.reshape(-1, 2 * step)
-        left = v[:, :step].copy()
-        v[:, :step] += v[:, step:]
-        v[:, step:] *= -1
-        v[:, step:] += left
-        step *= 2
-    return w
-
-
-def _values_from_indicator(compact: np.ndarray, n_act: int) -> np.ndarray:
-    """g(x) = sum_S chi_S(x) for all x in the active cube, exact in int64.
-
-    The unnormalized Walsh butterfly of the family indicator; intermediate
-    values are bounded by |family|, so int64 is exact for n_act <= 24.
-    """
-    indicator = np.zeros(1 << n_act, dtype=np.int64)
-    indicator[compact.astype(np.int64)] = 1
-    return _butterfly_int64_inplace(indicator)
-
-
 def _abs_sum_wht(compact: np.ndarray, n_act: int, threads: int) -> int:
     if n_act <= _WHT_MAX_DIRECT:
-        values = _values_from_indicator(compact, n_act)
+        # |g| <= |family| at every point, so int64 is exact for n_act <= 24
+        values = character_sum_table(compact, n_act)
         np.abs(values, out=values)
         return int(values.sum())
     # Blocked: fix the high coordinates, one butterfly per block.  Block
@@ -143,7 +122,7 @@ def _abs_sum_wht(compact: np.ndarray, n_act: int, threads: int) -> int:
         signs = 1 - 2 * (np.bitwise_count(high_parts & np.uint64(y)).astype(np.int64) & 1)
         table = np.zeros(1 << low_bits, dtype=np.int64)
         np.add.at(table, low_parts, signs)
-        _butterfly_int64_inplace(table)
+        walsh_butterfly_inplace(table)
         np.abs(table, out=table)
         return int(table.sum())
 
@@ -240,7 +219,7 @@ def _mc_chunk_sums(seed: int, chunk_index: int, count: int, compact: np.ndarray,
     """Exact integer (sum |g|, sum g^2) over one chunk of samples.
 
     Chunk streams are keyed by (seed, chunk index): counter-based, so the
-    estimate cannot depend on how chunks are spread over workers.
+    estimate cannot depend on the order the chunks run in.
     """
     bitgen = np.random.Philox(key=[seed, chunk_index])
     words = bitgen.random_raw(count)
@@ -258,23 +237,25 @@ def _mc_chunk_sums(seed: int, chunk_index: int, count: int, compact: np.ndarray,
 def lambda_mc(
     family: SupportFamily, samples: int = 100_000, seed: int = 42, threads: int = 1
 ) -> McEstimate:
-    """Monte Carlo estimate of lambda(B_S^N) with a 95% normal interval."""
+    """Monte Carlo estimate of lambda(B_S^N) with a 95% normal interval.
+
+    threads is accepted for compatibility and ignored: the per-mask numpy
+    loop holds the GIL, so worker threads only added scheduling overhead.
+    """
     if samples < 100:
         raise CubeError(f"need samples >= 100, got {samples}")
     compact, n_act = _compact_masks(family)
     chunk_sizes = [
         min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)
     ]
-    jobs = [(seed, i, size, compact, n_act) for i, size in enumerate(chunk_sizes)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda args: _mc_chunk_sums(*args), jobs))
-    else:
-        parts = [_mc_chunk_sums(*args) for args in jobs]
+    parts = [
+        _mc_chunk_sums(seed, i, size, compact, n_act)
+        for i, size in enumerate(chunk_sizes)
+    ]
     total_abs = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     mean = total_abs / samples
-    # variance from the exact integer sums; threads cannot perturb this
+    # variance from the exact integer sums, independent of the chunking
     var_num = total_sq * samples - total_abs * total_abs
     variance = var_num / samples / (samples - 1)
     stderr = math.sqrt(max(variance, 0.0) / samples)
@@ -331,7 +312,8 @@ def prime_singleton_report(n: int) -> PrimeSingletonReport:
 
 def squarefree_mc(n: int, samples: int = 100_000, seed: int = 42, threads: int = 1) -> SquarefreeReport:
     """Monte Carlo lambda of the square-free family, with the sqrt(N)/(log
-    log N)^{1/4} ratio reported and an exact cross-check when small enough."""
+    log N)^{1/4} ratio reported and an exact cross-check when small enough.
+    threads goes to lambda_mc, which ignores it."""
     if n < 16:
         raise CubeError(f"need N >= 16, got {n}")
     if samples < 1000:

@@ -25,9 +25,10 @@ from .core import (
     SizeGuardError,
     SupportFamily,
     WalshPolynomial,
+    character_sum_table,
     primes_upto,
 )
-from .projection import _butterfly_int64_inplace, _compact_masks, lambda_level_exact
+from .projection import _compact_masks, lambda_level_exact
 
 _LP_TOL = 1e-9
 _LP_MAX_ITER = 20_000
@@ -350,21 +351,6 @@ def check_sidon_projection_bound(
     )
 
 
-def _supnorm_float(coeffs: np.ndarray, compact: np.ndarray, n_act: int) -> float:
-    table = np.zeros(1 << n_act)
-    table[compact.astype(np.int64)] = coeffs
-    size = len(table)
-    step = 1
-    while step < size:
-        v = table.reshape(-1, 2 * step)
-        left = v[:, :step].copy()
-        v[:, :step] += v[:, step:]
-        v[:, step:] *= -1
-        v[:, step:] += left
-        step *= 2
-    return float(np.max(np.abs(table)))
-
-
 def bh_functional(f: WalshPolynomial, d: int) -> float:
     """(sum |fhat|^{2d/(d+1)})^{(d+1)/2d} / ||f||_inf, the degree-d ratio."""
     if f.degree() > d:
@@ -373,7 +359,7 @@ def bh_functional(f: WalshPolynomial, d: int) -> float:
     if n_act > 24:
         raise SizeGuardError(f"{n_act} active coordinates exceed 24")
     coeffs = np.array([float(c) for c in f.coeffs])
-    sup = _supnorm_float(coeffs, compact, n_act)
+    sup = float(np.max(np.abs(character_sum_table(compact, n_act, coeffs))))
     if sup == 0.0:
         raise CubeError("zero polynomial has no BH ratio")
     q = 2 * d / (d + 1)
@@ -406,10 +392,7 @@ def ksz_signs(family: SupportFamily, trials: int = 100, seed: int = 42) -> KszRe
         used = t + 1
         bits = np.random.Philox(key=[seed, t]).random_raw(len(compact))
         signs = (1 - 2 * (bits & 1)).astype(np.int64)
-        table = np.zeros(1 << n_act, dtype=np.int64)
-        table[compact.astype(np.int64)] = signs
-        _butterfly_int64_inplace(table)
-        sup = int(np.max(np.abs(table)))
+        sup = int(np.max(np.abs(character_sum_table(compact, n_act, signs))))
         if best_sup is None or sup < best_sup:
             best_sup, best_signs = sup, signs
         if sup <= bound:

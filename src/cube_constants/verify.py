@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from . import combinatorics
-from .core import CubeError
+from .core import CubeError, walsh_butterfly_inplace
 from .projection import lambda_level_exact
 
 _REL_SLACK = 1e-12
@@ -141,20 +141,6 @@ def check_desigforo(n: int, d: int) -> BoundsReport:
                         {"N": n, "d": d})
 
 
-def _butterfly_columns(table: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh butterfly down axis 0 of a (2^N, trials) array."""
-    size, cols = table.shape
-    step = 1
-    while step < size:
-        v = table.reshape(-1, 2 * step, cols)
-        left = v[:, :step, :].copy()
-        v[:, :step, :] += v[:, step:, :]
-        v[:, step:, :] *= -1
-        v[:, step:, :] += left
-        step *= 2
-    return table
-
-
 def check_klimek(n: int, d: int, trials: int = 500, seed: int = 42) -> BoundsReport:
     """||f_k||_inf <= (1+sqrt2)^d ||f||_inf for every homogeneous part of
     random degree-<=d polynomials (no extremal construction is known, so
@@ -167,14 +153,13 @@ def check_klimek(n: int, d: int, trials: int = 500, seed: int = 42) -> BoundsRep
     table = np.zeros((1 << n, trials))
     table[support, :] = rng.uniform(-1.0, 1.0, size=(int(support.sum()), trials))
     coeff_copy = table.copy()
-    values = _butterfly_columns(table)
-    sup_f = np.max(np.abs(values), axis=0)
+    sup_f = np.max(np.abs(walsh_butterfly_inplace(table)), axis=0)
     bound = _KLIMEK_CONSTANT**d
     max_ratio = 0.0
     worst_k = 0
     for k in range(d + 1):
         part = np.where((weights == k)[:, None], coeff_copy, 0.0)
-        sup_k = np.max(np.abs(_butterfly_columns(part)), axis=0)
+        sup_k = np.max(np.abs(walsh_butterfly_inplace(part)), axis=0)
         ratio = float(np.max(sup_k / sup_f))
         if ratio > max_ratio:
             max_ratio, worst_k = ratio, k
@@ -226,19 +211,21 @@ def klimek_suite(trials: int = 500, seed: int = 42) -> list[BoundsReport]:
     return [check_klimek(8, 3, trials=trials, seed=seed)]
 
 
-def combinatorics_suite(max_n: int = 12) -> list[BoundsReport]:
+def _combinatorics_checks(max_n: int) -> tuple[list[BoundsReport], dict]:
     """Power identity, the two closed C-coefficient forms, the coefficient
-    bounds, the N->inf ratio, and the Beckner fits as pass/fail reports."""
-    reports = []
+    bounds, the N->inf ratio, and the Beckner fits, computed once and shaped
+    both as pass/fail reports and as one document."""
+    top = min(max_n, 12)
+    identity = True
     worst_disc, worst_at = -1, None
     for d in range(1, 6):
-        for n in range(d, min(max_n, 12) + 1):
-            rep = combinatorics.verify_power_identity(d, n)
-            if rep.max_discrepancy > worst_disc:
-                worst_disc, worst_at = rep.max_discrepancy, (d, n)
-    reports.append(BoundsReport("power-identity", worst_disc, 0, worst_disc == 0,
-                                {"max_d": 5, "max_n": min(max_n, 12),
-                                 "worst_at": worst_at}))
+        for n in range(d, top + 1):
+            disc = combinatorics.verify_power_identity(d, n).max_discrepancy
+            identity = identity and disc == 0
+            if disc > worst_disc:
+                worst_disc, worst_at = disc, (d, n)
+    reports = [BoundsReport("power-identity", worst_disc, 0, worst_disc == 0,
+                            {"max_d": 5, "max_n": top, "worst_at": worst_at})]
     closed_ok = all(
         combinatorics.c_coefficient(2, 1, n) == n
         and combinatorics.c_coefficient(3, 1, n) == 3 * n - 2
@@ -246,51 +233,44 @@ def combinatorics_suite(max_n: int = 12) -> list[BoundsReport]:
     )
     reports.append(BoundsReport("c-coefficient-closed-forms", 0.0, 0.0, closed_ok,
                                 {"range": "3..50"}))
-    for d in range(2, 7):
-        for k in range(1, d // 2 + 1):
-            value = combinatorics.c_coefficient(d, k, 200)
-            lo, hi = combinatorics.c_coefficient_bounds(d, k, 200)
-            reports.append(BoundsReport(
-                f"c-coefficient-bounds-d{d}k{k}", lo, value, lo <= value <= hi,
-                {"N": 200, "upper": hi}))
-            limit = math.factorial(d) / (math.factorial(k) * 2**k)
-            ratio = value / 200**k
-            reports.append(_report(
-                f"c-limit-ratio-d{d}k{k}", abs(ratio / limit - 1), 10 * d / 200,
-                N=200, ratio=ratio, limit=limit))
-    for d, n in ((2, 40), (3, 40), (4, 80), (5, 160)):
-        fit = combinatorics.beckner_coefficients(d, n)
-        reports.append(_report(f"beckner-residual-d{d}", fit.residual, 1e-8,
-                               N=n, a=list(fit.a)))
-    return reports
-
-
-def combinatorics_document(max_n: int = 12) -> dict:
-    """Same checks as combinatorics_suite, shaped as one document:
-    {"identity": bool, "c_table": [...], "beckner": [...]}."""
-    identity = True
-    for d in range(1, 6):
-        for n in range(d, min(max_n, 12) + 1):
-            rep = combinatorics.verify_power_identity(d, n)
-            identity = identity and rep.max_discrepancy == 0
     c_table = []
     for d in range(2, 7):
         for k in range(1, d // 2 + 1):
             value = combinatorics.c_coefficient(d, k, 200)
             lo, hi = combinatorics.c_coefficient_bounds(d, k, 200)
             limit = math.factorial(d) / (math.factorial(k) * 2**k)
+            ratio = value / 200**k
+            reports.append(BoundsReport(
+                f"c-coefficient-bounds-d{d}k{k}", lo, value, lo <= value <= hi,
+                {"N": 200, "upper": hi}))
+            reports.append(_report(
+                f"c-limit-ratio-d{d}k{k}", abs(ratio / limit - 1), 10 * d / 200,
+                N=200, ratio=ratio, limit=limit))
             c_table.append({
                 "d": d, "k": k, "N": 200, "value": value,
                 "lower": lo, "upper": hi,
                 "within_bounds": lo <= value <= hi,
-                "ratio": value / 200**k, "limit": limit,
+                "ratio": ratio, "limit": limit,
             })
     beckner = []
     for d, n in ((2, 40), (3, 40), (4, 80), (5, 160)):
         fit = combinatorics.beckner_coefficients(d, n)
+        reports.append(_report(f"beckner-residual-d{d}", fit.residual, 1e-8,
+                               N=n, a=list(fit.a)))
         beckner.append({"d": d, "N": n, "a": list(fit.a),
                         "residual": fit.residual})
-    return {"identity": identity, "c_table": c_table, "beckner": beckner}
+    return reports, {"identity": identity, "c_table": c_table, "beckner": beckner}
+
+
+def combinatorics_suite(max_n: int = 12) -> list[BoundsReport]:
+    """The combinatorics checks as pass/fail reports."""
+    return _combinatorics_checks(max_n)[0]
+
+
+def combinatorics_document(max_n: int = 12) -> dict:
+    """Same checks as combinatorics_suite, shaped as one document:
+    {"identity": bool, "c_table": [...], "beckner": [...]}."""
+    return _combinatorics_checks(max_n)[1]
 
 
 _SUITES = ("range", "mckay", "desigforo", "klimek", "combinatorics")

@@ -1,10 +1,11 @@
 """Command line behavior: output documents, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from cube_constants import cli, verify
+from cube_constants import cli, projection, verify
 from cube_constants.verify import BoundsReport
 
 
@@ -45,6 +46,14 @@ class TestExact:
                                "--mode", "up-to-degree")
         assert code == 0
         assert json.loads(out)["family"]["kind"] == "upto"
+
+    def test_level_by_n_d_flags_big_n(self, capsys):
+        # the numerator has over 4300 digits, Python's default str() cap
+        code, out, _ = run_cli(capsys, "exact", "--N", "15000", "--d", "2")
+        assert code == 0
+        lam = json.loads(out)["lambda"]
+        got = Fraction(int(lam["num"]), int(lam["den"]))
+        assert got == projection.lambda_level_exact(15000, 2)
 
     def test_missing_arguments_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "exact")

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,54 @@ class TestWalshTransform:
     def test_length_must_be_power_of_two(self):
         with pytest.raises(core.CubeError):
             core.walsh_transform([1, 2, 3])
+
+
+class TestNumpyButterfly:
+    """walsh_butterfly_inplace against the exact pure-Python _butterfly."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_1d(self, n, dtype):
+        rng = np.random.default_rng(n)
+        if dtype is np.int64:
+            w = rng.integers(-50, 51, size=1 << n)
+        else:
+            w = rng.uniform(-1.0, 1.0, size=1 << n)
+        want = core._butterfly(w.tolist())
+        got = core.walsh_butterfly_inplace(w)
+        assert got.dtype == dtype
+        assert got.tolist() == want  # same a+b, a-b order: floats agree bitwise
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_columns_transform_independently(self, dtype):
+        n, cols = 5, 4
+        rng = np.random.default_rng(7)
+        w = rng.integers(-9, 10, size=(1 << n, cols)).astype(dtype)
+        want = [core._butterfly(w[:, j].tolist()) for j in range(cols)]
+        got = core.walsh_butterfly_inplace(w)
+        for j in range(cols):
+            assert got[:, j].tolist() == want[j]
+
+    def test_in_place(self):
+        w = np.arange(16, dtype=np.int64)
+        assert core.walsh_butterfly_inplace(w) is w
+        assert w.tolist() == core.inverse_walsh_transform(list(range(16)))
+
+    def test_rejects_non_contiguous_input(self):
+        with pytest.raises(core.CubeError):
+            core.walsh_butterfly_inplace(np.zeros(32)[::2])
+
+    def test_character_sum_table(self):
+        n, masks = 4, [0b0011, 0b0101, 0b1110]
+        compact = np.array(masks, dtype=np.uint64)
+        coeffs = np.array([0.5, -2.0, 3.0])
+        counts = core.character_sum_table(compact, n)
+        weighted = core.character_sum_table(compact, n, coeffs)
+        assert counts.dtype == np.int64
+        for x in range(1 << n):
+            chars = [brute_character(S, x, n) for S in masks]
+            assert counts[x] == sum(chars)
+            assert weighted[x] == sum(c * chi for c, chi in zip(coeffs, chars))
 
 
 class TestGrayIteration:
