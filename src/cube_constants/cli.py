@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .core import (
     _KIND_ALIASES,
+    _MODE_ALIASES,
     CubeError,
     make_family,
     primes_upto,
@@ -160,8 +161,11 @@ def _emit(doc, fmt: str, out: str | None, csv_rows=None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CubeError(f"cannot write {out!r}: {exc}")
 
 
 def _float_cell(value: float) -> str:
@@ -190,9 +194,9 @@ def _cmd_exact(args) -> int:
     if args.family is None:
         if args.N is None or args.d is None:
             raise UsageError("exact needs --family, or --N together with --d")
-        mode = args.mode or "exact-degree"
+        mode = _MODE_ALIASES[args.mode or "exact-degree"]
         lam = lambda_level_exact(args.N, args.d, mode=mode)
-        kind = "upto" if mode in ("up-to-degree", "upto") else "homogeneous"
+        kind = "upto" if mode == "up-to-degree" else "homogeneous"
         fam_doc = {"kind": kind, "N": args.N, "d": args.d}
         method = "level"
     else:
@@ -201,8 +205,7 @@ def _cmd_exact(args) -> int:
         if kind in ("homogeneous", "upto"):
             if not isinstance(d, int):
                 raise CubeError(f"{kind} family spec needs an integer 'd'")
-            mode = "exact-degree" if kind == "homogeneous" else "up-to-degree"
-            lam = lambda_level_exact(n, d, mode=mode)
+            lam = lambda_level_exact(n, d, mode=_MODE_ALIASES[kind])
             fam_doc = {"kind": kind, "N": n, "d": d}
             method = "level"
         elif kind == "prime-singletons":

@@ -28,6 +28,14 @@ FAMILY_KINDS = ("explicit", "homogeneous", "upto", "prime-singletons", "square-f
 # JSON spelling differs for one kind; accept both on input.
 _KIND_ALIASES = {"squarefree": "square-free"}
 _KIND_JSON_NAMES = {"square-free": "squarefree"}
+# Degree modes of the full-degree families, with the spellings accepted for each.
+_MODE_ALIASES = {
+    "exact-degree": "exact-degree",
+    "up-to-degree": "up-to-degree",
+    "exact": "exact-degree",
+    "homogeneous": "exact-degree",
+    "upto": "up-to-degree",
+}
 
 
 class CubeError(Exception):
@@ -98,7 +106,9 @@ class SubsetMask:
     def from_elements(elements: Iterable[int], n: int) -> "SubsetMask":
         bits = 0
         for e in elements:
-            if not isinstance(e, int) or not 1 <= e <= n:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise FamilySpecError(f"element {e!r} is not an integer")
+            if not 1 <= e <= n:
                 raise FamilySpecError(f"element {e!r} out of range [1, {n}]")
             if (bits >> (e - 1)) & 1:
                 raise FamilySpecError(f"duplicate element {e} in subset")
@@ -252,9 +262,11 @@ def make_family(spec: dict) -> SupportFamily:
         raise FamilySpecError(f"family spec missing key {exc}") from None
     kind = _KIND_ALIASES.get(kind, kind)
     if kind == "explicit":
-        if "sets" not in spec:
-            raise FamilySpecError("explicit family needs a 'sets' array")
-        return family_explicit(n, spec["sets"])
+        sets = spec.get("sets")
+        arrays = (list, tuple)
+        if not isinstance(sets, arrays) or not all(isinstance(s, arrays) for s in sets):
+            raise FamilySpecError("explicit family needs a 'sets' array of arrays")
+        return family_explicit(n, sets)
     if kind == "homogeneous":
         return family_homogeneous(n, _require_d(spec))
     if kind == "upto":
@@ -427,6 +439,17 @@ def gray_iterate(n: int) -> Iterator[tuple[CubePoint, int | None]]:
         flipped = (g ^ last).bit_length()  # exactly one bit differs
         last = g
         yield CubePoint(g, n), flipped
+
+
+def philox(seed: int, stream: int) -> np.random.Philox:
+    """Counter-based bit generator for stream `stream` of `seed`.
+
+    numpy keeps a Philox key word exact only below 2**63 (larger ones pass
+    through a float cast and collide), so seeds outside [0, 2**63) are refused.
+    """
+    if not 0 <= seed < 1 << 63:
+        raise CubeError(f"seed must lie in [0, 2**63), got {seed}")
+    return np.random.Philox(key=[seed, stream])
 
 
 def primes_upto(n: int) -> list[int]:

@@ -6,6 +6,12 @@ h_0 = 1, h_1 = t, h_{n+1} = t*h_n - n*h_{n-1} (orthogonal for the standard
 Gaussian weight).  P_d = h_d / d! satisfies the recursion
 P_d = t^d/d! - sum_{k=1}^{floor(d/2)} P_{d-2k} / (k! 2^k), which is how it is
 built here; the equality with h_d/d! is a test, not an assumption.
+
+The absolute moments need no quadrature: since
+h_k = t*h_{k-1} - h_{k-1}', the Gaussian density phi satisfies
+(h_{k-1} phi)' = -h_k phi, so the integral of h_k phi between two points is a
+difference of h_{k-1} phi, and |p| is integrated piece by piece between the
+real roots of p.
 """
 
 from __future__ import annotations
@@ -13,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
-from .core import CubeError, SizeGuardError
+from .core import SizeGuardError
 
 MAX_POLY_DEGREE = 200
 MAX_MOMENT_DEGREE = 60
@@ -161,108 +164,69 @@ def hermite_roots(d: int) -> list[float]:
 
 
 def _real_roots(p: RationalPolynomial) -> list[float]:
-    """Real roots of a general rational polynomial (companion matrix + Newton)."""
-    coeffs = np.array([float(c) for c in p.coeffs])
-    if len(coeffs) <= 1:
-        return []
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    real = sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r)))
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    refined = []
-    for r in real:
-        for _ in range(3):
-            dv = np.polynomial.polynomial.polyval(r, deriv)
-            if dv == 0:
-                break
-            r -= np.polynomial.polynomial.polyval(r, coeffs) / dv
-        if not refined or r - refined[-1] > 1e-12 * (1 + abs(r)):
-            refined.append(float(r))
-    return refined
+    """Real roots of p, ascending, from the companion matrix.
+
+    Good enough as cuts for abs_gaussian_moment: an error delta in a root
+    moves the integral by O(delta^2), since the integrand vanishes there.
+    """
+    roots = np.polynomial.polynomial.polyroots([float(c) for c in p.coeffs])
+    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r)))
 
 
 def _gaussian_density(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
 
 
-def _upper_tail_moments(T: float, max_k: int) -> list[float]:
-    """I_k = integral_T^inf t^k phi(t) dt, k = 0..max_k.
+def _hermite_coefficients(p: RationalPolynomial) -> list[Fraction]:
+    """c with p = sum_k c_k h_k, exactly: peel off the leading term (h_k is monic)."""
+    c = [Fraction(0)] * (p.degree() + 1)
+    while not p.is_zero():
+        k = p.degree()
+        c[k] = p.coeffs[k]
+        p = p - hermite_poly(k).scaled(c[k])
+    return c
 
-    I_0 = erfc(T/sqrt2)/2, I_1 = phi(T), I_k = T^{k-1} phi(T) + (k-1) I_{k-2}.
+
+def abs_gaussian_moment(p: RationalPolynomial) -> float:
+    """E|p(Z)| for standard normal Z, in closed form.
+
+    (h_{k-1} phi)' = -h_k phi, so with p = sum_k c_k h_k an antiderivative of
+    p phi is F = c_0 Phi - phi sum_{k>=1} c_k h_{k-1}, with F(-inf) = 0 and
+    F(+inf) = c_0.  p keeps one sign between consecutive real roots, so
+    E|p| = sum |F(r_{i+1}) - F(r_i)| over the cuts -inf < r_1 < ... < +inf.
+    A spurious or repeated root only splits an interval of one sign, and a
+    missed root of even multiplicity is no sign change.
     """
-    phi_T = _gaussian_density(T)
-    moments = [float(erfc(T / math.sqrt(2))) / 2.0]
-    if max_k >= 1:
-        moments.append(phi_T)
-    power = 1.0  # T^{k-1} built incrementally
-    for k in range(2, max_k + 1):
-        power *= T
-        moments.append(power * phi_T + (k - 1) * moments[k - 2])
-    return moments
-
-
-def _abs_moment_piecewise(
-    eval_fn: Callable[[float], float],
-    float_coeffs: Sequence[float],
-    roots: Sequence[float],
-    tol: float,
-) -> float:
-    """E|p(Z)| with |p| integrated between consecutive roots, analytic tails.
-
-    eval_fn evaluates p at a float; float_coeffs are p's coefficients (lowest
-    first) used only for the sign-constant tails beyond all roots.
-    """
-    T = max(12.0, (max(abs(r) for r in roots) + 8.0) if roots else 12.0)
-    cuts = [-T, *[r for r in roots if -T < r < T], T]
-    pieces = []
-    budget = tol / (len(cuts) + 1)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo < 1e-15:
-            continue
-        val, _err = quad(
-            lambda t: abs(eval_fn(t)) * _gaussian_density(t),
-            lo,
-            hi,
-            epsabs=budget,
-            epsrel=1e-13,
-            limit=200,
-        )
-        pieces.append(val)
-    deg = len(float_coeffs) - 1
-    moments = _upper_tail_moments(T, deg)
-    upper = math.fsum(c * m for c, m in zip(float_coeffs, moments))
-    lower = math.fsum(c * (-1) ** k * m for k, (c, m) in enumerate(zip(float_coeffs, moments)))
-    lead = float_coeffs[-1] if float_coeffs else 0.0
-    sign_upper = 1.0 if lead >= 0 else -1.0
-    sign_lower = sign_upper * (1.0 if deg % 2 == 0 else -1.0)
-    return math.fsum([sign_lower * lower, *pieces, sign_upper * upper])
-
-
-def abs_gaussian_moment(p: RationalPolynomial, tol: float = 1e-11) -> float:
-    """E|p(Z)| for standard normal Z.
-
-    Splits at the real roots of p (the only kinks of |p|), adaptive
-    quadrature per smooth piece, closed-form Gaussian moments beyond
-    max(12, largest root + 8) where the sign is constant.
-    """
-    if tol < 1e-13:
-        raise CubeError(f"tol {tol} below quadrature floor 1e-13")
     if p.is_zero():
         return 0.0
-    if p.degree() == 0:
-        return abs(float(p.coeffs[0]))
-    coeffs = [float(c) for c in p.coeffs]
-    return _abs_moment_piecewise(p, coeffs, _real_roots(p), tol)
+    c = [float(ck) for ck in _hermite_coefficients(p)]
+
+    def antiderivative(t: float) -> float:
+        # sum_k c_k h_{k-1}(t), h by the three-term recurrence
+        acc, h_prev, h = 0.0, 0.0, 1.0
+        for k in range(1, len(c)):
+            acc += c[k] * h
+            h_prev, h = h, t * h - (k - 1) * h_prev
+        return 0.5 * c[0] * math.erfc(-t / math.sqrt(2)) - _gaussian_density(t) * acc
+
+    values = [0.0, *(antiderivative(r) for r in _real_roots(p)), c[0]]
+    return math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
 
 
-def normalized_limit_constant(d: int, tol: float = 1e-11) -> float:
-    """E|h_d(Z)|/sqrt(d!), evaluated through the orthonormal recurrence."""
+def normalized_limit_constant(d: int) -> float:
+    """E|h_d(Z)|/sqrt(d!) = (2/sqrt d) sum_r |h~_{d-1}(r)| phi(r) over the roots r of h_d.
+
+    Here h~_k = h_k/sqrt(k!).  The antiderivative -h_{d-1} phi of h_d phi
+    vanishes at +-inf and alternates in sign over the roots, so each root
+    contributes twice.
+    """
     if not 1 <= d <= MAX_MOMENT_DEGREE:
         raise SizeGuardError(f"degree {d} outside [1, {MAX_MOMENT_DEGREE}]")
-    scale = math.exp(-0.5 * math.lgamma(d + 1))
-    coeffs = [float(c) * scale for c in hermite_poly(d).coeffs]
-    return _abs_moment_piecewise(
-        lambda t: hermite_value_normalized(d, t), coeffs, hermite_roots(d), tol
+    total = math.fsum(
+        abs(hermite_value_normalized(d - 1, r)) * _gaussian_density(r)
+        for r in hermite_roots(d)
     )
+    return 2.0 * total / math.sqrt(d)
 
 
 def limit_constant(d: int) -> float:
@@ -270,7 +234,7 @@ def limit_constant(d: int) -> float:
     if not 1 <= d <= MAX_MOMENT_DEGREE:
         raise SizeGuardError(f"degree {d} outside [1, {MAX_MOMENT_DEGREE}]")
     if d <= 20:
-        return abs_gaussian_moment(p_poly(d), 1e-11)
+        return abs_gaussian_moment(p_poly(d))
     # d! overflows nothing here, but P_d's float coefficients lose accuracy;
     # go through the orthonormal form instead.
     return normalized_limit_constant(d) * math.exp(-0.5 * math.lgamma(d + 1))

@@ -18,6 +18,7 @@ import numpy as np
 
 from .combinatorics import level_sum_at
 from .core import (
+    _MODE_ALIASES,
     MAX_DIMENSION,
     MAX_ENUM_DIMENSION,
     CubeError,
@@ -25,6 +26,7 @@ from .core import (
     SupportFamily,
     character_sum_table,
     family_squarefree,
+    philox,
     primes_upto,
     walsh_butterfly_inplace,
 )
@@ -32,14 +34,6 @@ from .core import (
 _WHT_MAX_DIRECT = 22  # 2^22 int64 = 32 MB per value table
 MAX_LEVEL_N = 100_000
 _Z95 = 1.96
-
-_MODE_ALIASES = {
-    "exact-degree": "exact-degree",
-    "up-to-degree": "up-to-degree",
-    "exact": "exact-degree",
-    "homogeneous": "exact-degree",
-    "upto": "up-to-degree",
-}
 
 
 @dataclass(frozen=True)
@@ -221,8 +215,7 @@ def _mc_chunk_sums(seed: int, chunk_index: int, count: int, compact: np.ndarray,
     Chunk streams are keyed by (seed, chunk index): counter-based, so the
     estimate cannot depend on the order the chunks run in.
     """
-    bitgen = np.random.Philox(key=[seed, chunk_index])
-    words = bitgen.random_raw(count)
+    words = philox(seed, chunk_index).random_raw(count)
     if n_act < 64:
         words = words & np.uint64((1 << n_act) - 1)
     g = np.zeros(count, dtype=np.int64)

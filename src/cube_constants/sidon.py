@@ -26,6 +26,7 @@ from .core import (
     SupportFamily,
     WalshPolynomial,
     character_sum_table,
+    philox,
     primes_upto,
 )
 from .projection import _compact_masks, lambda_level_exact
@@ -268,6 +269,8 @@ def sidon_exact(
     contention (homog(6,3) ran about twice as slow with four threads).  The
     parameter stays so callers that size their worker count keep working.
     """
+    if not tol >= 0:
+        raise CubeError(f"tol must be >= 0, got {tol}")
     compact, n_act = _compact_masks(family)
     m = len(compact)
     if n_act > _MAX_PATTERN_DIM:
@@ -390,7 +393,7 @@ def ksz_signs(family: SupportFamily, trials: int = 100, seed: int = 42) -> KszRe
     used = 0
     for t in range(trials):
         used = t + 1
-        bits = np.random.Philox(key=[seed, t]).random_raw(len(compact))
+        bits = philox(seed, t).random_raw(len(compact))
         signs = (1 - 2 * (bits & 1)).astype(np.int64)
         sup = int(np.max(np.abs(character_sum_table(compact, n_act, signs))))
         if best_sup is None or sup < best_sup:

@@ -10,10 +10,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfcx
 
 from . import combinatorics
-from .core import CubeError, walsh_butterfly_inplace
+from .core import _MODE_ALIASES, CubeError, philox, walsh_butterfly_inplace
 from .projection import lambda_level_exact
 
 _REL_SLACK = 1e-12
@@ -43,7 +42,7 @@ def check_range_bounds(n: int, d: int, mode: str = "exact-degree") -> list[Bound
     trivial 1..sqrt|S| range, the hypercontractive lower bound, and the
     (N/d)^{d/2}-scale pinch."""
     lam = lambda_level_exact(n, d, mode)
-    upto = mode in ("up-to-degree", "upto")
+    upto = _MODE_ALIASES[mode] == "up-to-degree"
     size = (
         sum(math.comb(n, k) for k in range(d + 1)) if upto else math.comb(n, d)
     )
@@ -64,6 +63,10 @@ def check_range_bounds(n: int, d: int, mode: str = "exact-degree") -> list[Bound
 
 def y_function(x: float) -> float:
     """Y(x) = e^{x^2/2} Int_x^inf e^{-t^2/2} dt, cancellation-free."""
+    # the only scipy use in the package; imported here to keep it off the
+    # import path of everything else
+    from scipy.special import erfcx
+
     if x < 0:
         raise CubeError(f"Y is defined for x >= 0, got {x}")
     return math.sqrt(math.pi / 2) * float(erfcx(x / math.sqrt(2)))
@@ -147,7 +150,9 @@ def check_klimek(n: int, d: int, trials: int = 500, seed: int = 42) -> BoundsRep
     this is a randomized audit; seed and trials ride in the context)."""
     if n > 14 or d > n:
         raise CubeError(f"need d <= N <= 14, got d={d}, N={n}")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    if trials < 1:
+        raise CubeError("need trials >= 1")
+    rng = np.random.Generator(philox(seed, 0))
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     support = weights <= d
     table = np.zeros((1 << n, trials))

@@ -1,10 +1,14 @@
 """Command line behavior: output documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cube_constants
 from cube_constants import cli, projection, verify
 from cube_constants.verify import BoundsReport
 
@@ -84,6 +88,31 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--family", "file:/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "make_argv",
+        [
+            lambda tmp: ["sidon", "--family", "homog:4:2", "--tol", "-1"],
+            lambda tmp: ["mc", "--family", "homog:6:2", "--seed", str(2**64)],
+            lambda tmp: ["kappa", "--out", str(tmp / "missing" / "x.json")],
+            lambda tmp: ["families", "--family",
+                         _family_file(tmp, {"kind": "explicit", "N": 4, "sets": 5})],
+            lambda tmp: ["families", "--family",
+                         _family_file(tmp, {"kind": "explicit", "N": 4, "sets": [[1], None]})],
+        ],
+        ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set"],
+    )
+    def test_bad_input_exits_cleanly(self, capsys, tmp_path, make_argv):
+        code, _, err = run_cli(capsys, *make_argv(tmp_path))
+        assert code in (2, 64)
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def _family_file(tmp_path, spec) -> str:
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(spec))
+    return f"file:{path}"
 
 
 class TestTable:
@@ -218,6 +247,19 @@ class TestPrimesCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["squarefree"]["agrees_with_exact"] is True
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is for the McKay/Szarek Y function only, imported when it runs
+    src = os.path.dirname(os.path.dirname(cube_constants.__file__))
+    code = (
+        "import sys, cube_constants.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestDeterminismAndOut:

@@ -43,6 +43,11 @@ class TestPointsAndMasks:
         with pytest.raises(core.FamilySpecError):
             core.SubsetMask.from_elements([5], 4)
 
+    def test_mask_rejects_non_integer_elements(self):
+        for bad in (3.0, "3", True):
+            with pytest.raises(core.FamilySpecError, match="not an integer"):
+                core.SubsetMask.from_elements([bad], 4)
+
     def test_bits_must_fit(self):
         with pytest.raises(core.CubeError):
             core.CubePoint(0b1000, 3)

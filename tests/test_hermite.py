@@ -63,7 +63,7 @@ class TestPolynomials:
         assert abs(rec - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_degree_guard(self):
-        with pytest.raises(hermite.CubeError):
+        with pytest.raises(hermite.SizeGuardError):
             hermite.hermite_poly(hermite.MAX_POLY_DEGREE + 1)
 
 
@@ -133,8 +133,22 @@ class TestAbsMoment:
         coeffs = tuple(
             Fraction(data.draw(st.integers(-5, 5))) for _ in range(d + 1)
         )
-        p = hermite.RationalPolynomial(coeffs)
-        got = hermite.abs_gaussian_moment(p, tol=1e-11)
+        self.check_against_quadrature(hermite.RationalPolynomial(coeffs))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(2, -3, 0, 1), (1, 0, 1)],
+        ids=["double-root", "no-real-root"],
+    )
+    def test_repeated_and_missing_real_roots(self, coeffs):
+        # a double root is no sign change, and t^2 + 1 has no cut at all
+        self.check_against_quadrature(
+            hermite.RationalPolynomial(tuple(Fraction(c) for c in coeffs))
+        )
+
+    @staticmethod
+    def check_against_quadrature(p):
+        got = hermite.abs_gaussian_moment(p)
         # |p| has kinks at the real roots of p; without them as breakpoints
         # quad misjudges its own error (p = 2t^2 + 4t - 5 is off by 1.3e-6
         # while reporting 2.2e-8)
@@ -147,10 +161,6 @@ class TestAbsMoment:
             points=kinks or None,
         )
         assert abs(got - ref) <= 1e-7 + 10 * err
-
-    def test_tolerance_guard(self):
-        with pytest.raises(hermite.CubeError):
-            hermite.abs_gaussian_moment(hermite.monomial(1), tol=1e-15)
 
 
 class TestLimitConstants:
