@@ -58,17 +58,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("CUBE_CONSTANTS_THREADS")
-    if env is not None:
+def _threads(args) -> int:
+    """--threads, else CUBE_CONSTANTS_THREADS, else the CPU count; a count
+    below 1 from either source is refused."""
+    source, value = "--threads", args.threads
+    if value is None:
+        source, env = "CUBE_CONSTANTS_THREADS", os.environ.get("CUBE_CONSTANTS_THREADS")
+        if env is None:
+            return os.cpu_count() or 1
         try:
             value = int(env)
         except ValueError:
-            raise CubeError(f"CUBE_CONSTANTS_THREADS must be an integer, got {env!r}")
-        if value < 1:
-            raise CubeError("CUBE_CONSTANTS_THREADS must be >= 1")
-        return value
-    return os.cpu_count() or 1
+            raise CubeError(f"{source} must be an integer, got {env!r}")
+    if value < 1:
+        raise CubeError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def parse_family_spec(text: str) -> dict:
@@ -190,7 +194,7 @@ def _kv_rows(doc: dict) -> tuple[list[str], list[list[str]]]:
 
 
 def _cmd_exact(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     if args.family is None:
         if args.N is None or args.d is None:
             raise UsageError("exact needs --family, or --N together with --d")
@@ -229,7 +233,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     family = make_family(parse_family_spec(args.family))
     est = lambda_mc(family, samples=args.samples, seed=args.seed, threads=threads)
     doc = {
@@ -283,7 +287,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sidon(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     family = make_family(parse_family_spec(args.family))
     result = sidon_exact(
         family, tol=args.tol, max_orthants=args.max_orthants, threads=threads
@@ -356,7 +360,7 @@ def _cmd_families(args) -> int:
 
 
 def _cmd_primes(args) -> int:
-    threads = args.threads or _default_threads()
+    threads = _threads(args)
     report = prime_singleton_report(args.N)
     doc = {
         "prime_singletons": {

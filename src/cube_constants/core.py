@@ -452,13 +452,16 @@ def philox(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=[seed, stream])
 
 
-def primes_upto(n: int) -> list[int]:
-    """Eratosthenes sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
+def _prime_array(n: int) -> np.ndarray:
+    """Primes <= n, ascending, as an integer array: Eratosthenes in numpy."""
+    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def primes_upto(n: int) -> list[int]:
+    """Primes <= n as Python ints (1 << (p - 1) must not wrap as int64)."""
+    return _prime_array(n).tolist()

@@ -158,7 +158,6 @@ def _abs_sum_gray(family: SupportFamily, compact: np.ndarray, n_act: int) -> int
 def lambda_exact(
     family: SupportFamily,
     kernel: str = "auto",
-    max_n: int = MAX_ENUM_DIMENSION,
     threads: int = 1,
 ) -> Fraction:
     """E|sum_{S in family} chi_S| as an exact rational.
@@ -168,10 +167,9 @@ def lambda_exact(
     coordinates; coordinates no set uses are integrated out for free.
     """
     compact, n_act = _compact_masks(family)
-    if n_act > max_n or n_act > MAX_ENUM_DIMENSION:
+    if n_act > MAX_ENUM_DIMENSION:
         raise SizeGuardError(
-            f"{n_act} active coordinates exceed the enumeration guard "
-            f"{min(max_n, MAX_ENUM_DIMENSION)}"
+            f"{n_act} active coordinates exceed the enumeration guard {MAX_ENUM_DIMENSION}"
         )
     if kernel == "gray":
         total = _abs_sum_gray(family, compact, n_act)

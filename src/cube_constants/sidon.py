@@ -14,6 +14,7 @@ exact rational feasibility certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,9 +26,9 @@ from .core import (
     SizeGuardError,
     SupportFamily,
     WalshPolynomial,
+    _prime_array,
     character_sum_table,
     philox,
-    primes_upto,
 )
 from .projection import _compact_masks, lambda_level_exact
 
@@ -222,18 +223,27 @@ def _atlas_representatives(compact: np.ndarray, n_act: int) -> list[int] | None:
         return None
     if any(m.bit_count() != 2 for m in masks):
         return None
-    import networkx  # deferred: only this route needs it
-
     index_of = {mask: j for j, mask in enumerate(masks)}
     reps = []
-    for graph in networkx.graph_atlas_g()[1:]:
-        if graph.number_of_nodes() != n_act - 1:
-            continue
+    for edges in _atlas_edges()[n_act - 1]:
         sigma = 0
-        for u, v in graph.edges():
+        for u, v in edges:
             sigma |= 1 << index_of[(1 << u) | (1 << v)]
         reps.append(sigma)
     return reps
+
+
+@functools.cache
+def _atlas_edges() -> tuple:
+    """Edge tuples of the graph atlas by vertex count 0..7, read once per
+    process: graph_atlas_g() rebuilds its 1253 mutable graphs on every call."""
+    import networkx  # deferred: only the atlas route needs it
+
+    graphs = networkx.graph_atlas_g()[1:]
+    return tuple(
+        tuple(tuple(g.edges()) for g in graphs if g.number_of_nodes() == n)
+        for n in range(8)
+    )
 
 
 def _certify_witness(
@@ -308,12 +318,14 @@ def kappa_constant(tol: float = 1e-4) -> float:
     """
     if not 1e-7 <= tol <= 1e-3:
         raise CubeError(f"tol {tol} outside [1e-7, 1e-3]")
-    cutoff = max(50, math.ceil(3.65 / tol) + 1)
-    log_sum = 0.0
-    for p in primes_upto(cutoff):
-        x = math.pi / p
-        log_sum -= math.log(math.sin(x) / x)
-    return math.exp(log_sum)
+    return _kappa_upto(max(50, math.ceil(3.65 / tol) + 1))
+
+
+@functools.cache
+def _kappa_upto(cutoff: int) -> float:
+    """prod_{p <= cutoff} sinc(pi/p)^{-1}, once per cutoff in a process."""
+    x = np.pi / _prime_array(cutoff)
+    return math.exp(-np.log(np.sin(x) / x).sum())
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,8 @@ def _combinatorics_checks(max_n: int) -> tuple[list[BoundsReport], dict]:
     """Power identity, the two closed C-coefficient forms, the coefficient
     bounds, the N->inf ratio, and the Beckner fits, computed once and shaped
     both as pass/fail reports and as one document."""
+    if max_n < 1:  # the CLI calls this directly, not through run_suite
+        raise CubeError(f"max_n must be >= 1, got {max_n}")
     top = min(max_n, 12)
     identity = True
     worst_disc, worst_at = -1, None
@@ -289,6 +291,11 @@ def run_suite(
     klimek_trials: int = 500,
     seed: int = 42,
 ) -> list[BoundsReport]:
+    # a sweep bound under which a suite would check nothing is refused
+    if max_n < 1 and name in ("range", "combinatorics", "all"):
+        raise CubeError(f"max_n must be >= 1, got {max_n}")
+    if desigforo_max_n < 2 and name in ("desigforo", "all"):
+        raise CubeError(f"desigforo_max_n must be >= 2, got {desigforo_max_n}")
     if name == "range":
         return range_suite(max_n)
     if name == "mckay":

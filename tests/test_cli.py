@@ -99,8 +99,19 @@ class TestUsage:
                          _family_file(tmp, {"kind": "explicit", "N": 4, "sets": 5})],
             lambda tmp: ["families", "--family",
                          _family_file(tmp, {"kind": "explicit", "N": 4, "sets": [[1], None]})],
+            lambda tmp: ["exact", "--family", "sqfree:10", "--threads", "-1"],
+            lambda tmp: ["exact", "--family", "sqfree:10", "--threads", "0"],
+            lambda tmp: ["verify", "--suite", "combinatorics", "--max-n", "0"],
+            lambda tmp: ["verify", "--suite", "range", "--max-n", "0"],
+            lambda tmp: ["verify", "--suite", "range", "--max-n", "-3"],
+            lambda tmp: ["verify", "--suite", "all", "--max-n", "0"],
+            lambda tmp: ["verify", "--suite", "desigforo", "--desigforo-max-n", "1"],
+            lambda tmp: ["verify", "--suite", "all", "--desigforo-max-n", "1"],
         ],
-        ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set"],
+        ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set",
+             "threads-negative", "threads-zero", "combinatorics-max-n-0", "range-max-n-0",
+             "range-max-n-negative", "all-max-n-0", "desigforo-max-n-1",
+             "all-desigforo-max-n-1"],
     )
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, make_argv):
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
@@ -288,3 +299,10 @@ class TestDeterminismAndOut:
         code, _, err = run_cli(capsys, "mc", "--family", "homog:5:2",
                                "--samples", "1000")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_env_threads_must_be_positive(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("CUBE_CONSTANTS_THREADS", value)
+        code, _, err = run_cli(capsys, "exact", "--family", "sqfree:10")
+        assert code == 2
+        assert err.strip() == f"cube-constants: CUBE_CONSTANTS_THREADS must be >= 1, got {value}"

@@ -279,3 +279,12 @@ class TestPrimes:
     def test_edge_cases(self):
         assert core.primes_upto(1) == []
         assert core.primes_upto(2) == [2]
+
+    def test_against_trial_division(self):
+        want = []
+        for n in range(-3, 2001):
+            if n >= 2 and all(n % p for p in want):
+                want.append(n)
+            got = core.primes_upto(n)
+            assert got == want
+            assert all(type(p) is int for p in got)

@@ -90,22 +90,28 @@ class TestRationalPolynomial:
 
 
 class TestRoots:
-    @given(st.integers(1, 25))
-    def test_root_count_and_localization(self, d):
-        roots = hermite.hermite_roots(d)
-        assert len(roots) == d
-        for r in roots:
-            width = 1e-8 * (1 + abs(r))
-            lo = hermite.hermite_value_normalized(d, r - width)
-            hi = hermite.hermite_value_normalized(d, r + width)
-            assert lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
-        assert all(a < b for a, b in zip(roots, roots[1:]))
+    def test_root_count_and_localization(self):
+        for d in range(1, hermite.MAX_MOMENT_DEGREE + 1):
+            roots = hermite.hermite_roots(d)
+            assert len(roots) == d
+            for r in roots:
+                width = 1e-8 * (1 + abs(r))
+                lo = hermite.hermite_value_normalized(d, r - width)
+                hi = hermite.hermite_value_normalized(d, r + width)
+                assert lo == 0 or hi == 0 or (lo < 0) != (hi < 0)
+            assert all(a < b for a, b in zip(roots, roots[1:]))
 
     def test_interlacing(self):
-        r5 = hermite.hermite_roots(5)
-        r6 = hermite.hermite_roots(6)
-        for i in range(5):
-            assert r6[i] < r5[i] < r6[i + 1]
+        for d in range(2, hermite.MAX_MOMENT_DEGREE + 1):
+            inner = hermite.hermite_roots(d - 1)
+            outer = hermite.hermite_roots(d)
+            for i in range(d - 1):
+                assert outer[i] < inner[i] < outer[i + 1]
+
+    def test_guard(self):
+        for d in (0, hermite.MAX_MOMENT_DEGREE + 1):
+            with pytest.raises(hermite.SizeGuardError):
+                hermite.hermite_roots(d)
 
 
 class TestAbsMoment:
@@ -171,6 +177,12 @@ class TestLimitConstants:
     def test_d3_closed_form(self):
         want = (1 + 4 * math.exp(-1.5)) / (3 * math.sqrt(2 * math.pi))
         assert abs(hermite.limit_constant(3) - want) <= 1e-12
+
+    def test_matches_exact_coefficient_route(self):
+        # E|P_d(Z)| from P_d's exact coefficients, cut at its companion roots
+        for d in range(1, 21):
+            want = hermite.abs_gaussian_moment(hermite.p_poly(d))
+            assert abs(hermite.limit_constant(d) / want - 1) <= 1e-14
 
     def test_normalized_is_scaled_raw(self):
         for d in range(1, 15):

@@ -70,10 +70,11 @@ class TestLambdaExact:
         with pytest.raises(core.SizeGuardError):
             projection.lambda_exact(fam)
 
-    def test_max_n_override(self):
-        fam = core.family_homogeneous(12, 2)
+    def test_enumeration_guard_one_past_limit(self):
+        # 31 active coordinates against the guard of 30: refused before any work
+        fam = core.family_explicit(31, [[i] for i in range(1, 32)])
         with pytest.raises(core.SizeGuardError):
-            projection.lambda_exact(fam, max_n=10)
+            projection.lambda_exact(fam)
 
 
 class TestLambdaLevel:

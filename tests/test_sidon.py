@@ -188,6 +188,17 @@ class TestKappa:
         b = sidon.kappa_constant(1e-6)
         assert abs(a - b) <= 1e-4 + 1e-6
 
+    def test_matches_scalar_product(self):
+        tol = 1e-5
+        cutoff = max(50, math.ceil(3.65 / tol) + 1)
+        primes, log_sum = [], 0.0
+        for p in range(2, cutoff + 1):
+            if all(p % q for q in itertools.takewhile(lambda q: q * q <= p, primes)):
+                primes.append(p)
+                x = math.pi / p
+                log_sum -= math.log(math.sin(x) / x)
+        assert abs(sidon.kappa_constant(tol) / math.exp(log_sum) - 1) <= 1e-13
+
     def test_guard(self):
         with pytest.raises(core.CubeError):
             sidon.kappa_constant(1e-9)
