@@ -55,6 +55,7 @@ from .projection import (
     lambda_exact,
     lambda_level_exact,
     lambda_mc,
+    lambda_of_spec,
     prime_singleton_report,
     squarefree_mc,
 )

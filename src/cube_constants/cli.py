@@ -15,19 +15,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import (
-    _KIND_ALIASES,
-    _MODE_ALIASES,
-    CubeError,
-    make_family,
-    primes_upto,
-)
+from .core import _MODE_ALIASES, CubeError, make_family
 from .hermite import limit_constant, normalized_limit_constant
 from .projection import (
-    haagerup_lambda,
-    lambda_exact,
     lambda_level_exact,
     lambda_mc,
+    lambda_of_spec,
     prime_singleton_report,
     squarefree_mc,
 )
@@ -114,18 +107,6 @@ def parse_family_spec(text: str) -> dict:
     )
 
 
-def _spec_fields(spec: dict) -> tuple[str, int, int | None]:
-    kind = spec.get("kind")
-    if not isinstance(kind, str):
-        raise CubeError("family spec is missing a string 'kind'")
-    kind = _KIND_ALIASES.get(kind, kind)
-    n = spec.get("N")
-    if not isinstance(n, int):
-        raise CubeError("family spec is missing an integer 'N'")
-    d = spec.get("d")
-    return kind, n, d
-
-
 def _fraction_doc(value: Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
@@ -198,30 +179,11 @@ def _cmd_exact(args) -> int:
     if args.family is None:
         if args.N is None or args.d is None:
             raise UsageError("exact needs --family, or --N together with --d")
-        mode = _MODE_ALIASES[args.mode or "exact-degree"]
-        lam = lambda_level_exact(args.N, args.d, mode=mode)
-        kind = "upto" if mode == "up-to-degree" else "homogeneous"
-        fam_doc = {"kind": kind, "N": args.N, "d": args.d}
-        method = "level"
+        upto = _MODE_ALIASES[args.mode or "exact-degree"] == "up-to-degree"
+        spec = {"kind": "upto" if upto else "homogeneous", "N": args.N, "d": args.d}
     else:
         spec = parse_family_spec(args.family)
-        kind, n, d = _spec_fields(spec)
-        if kind in ("homogeneous", "upto"):
-            if not isinstance(d, int):
-                raise CubeError(f"{kind} family spec needs an integer 'd'")
-            lam = lambda_level_exact(n, d, mode=_MODE_ALIASES[kind])
-            fam_doc = {"kind": kind, "N": n, "d": d}
-            method = "level"
-        elif kind == "prime-singletons":
-            count = len(primes_upto(n))
-            lam = haagerup_lambda(count)
-            fam_doc = {"kind": kind, "N": n}
-            method = "haagerup"
-        else:
-            family = make_family(spec)
-            lam = lambda_exact(family, threads=threads)
-            fam_doc = family.to_json_dict()
-            method = "exact"
+    lam, method, fam_doc = lambda_of_spec(spec, threads=threads)
     doc = {
         "lambda": _fraction_doc(lam),
         "float": float(lam),

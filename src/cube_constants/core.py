@@ -23,6 +23,7 @@ MAX_DIMENSION = 63            # active coordinates must fit one machine word
 MAX_FAMILY_DIMENSION = 100000  # structural cap; masks are plain Python ints
 MAX_ENUM_DIMENSION = 30       # full-cube enumeration guard
 MAX_TRANSFORM_DIMENSION = 24  # in-memory transform guard
+MAX_SIEVE = 10**8             # prime sieve bound; kappa needs at most 36500001
 
 FAMILY_KINDS = ("explicit", "homogeneous", "upto", "prime-singletons", "square-free")
 # JSON spelling differs for one kind; accept both on input.
@@ -191,6 +192,7 @@ class SupportFamily:
 
 
 def family_explicit(n: int, sets: Iterable[Iterable[int]]) -> SupportFamily:
+    _check_dimension(n, MAX_FAMILY_DIMENSION)
     masks = sorted(SubsetMask.from_elements(s, n).bits for s in sets)
     for a, b in zip(masks, masks[1:]):
         if a == b:
@@ -218,6 +220,7 @@ def family_full(n: int) -> SupportFamily:
 
 
 def family_prime_singletons(n: int) -> SupportFamily:
+    _check_dimension(n, MAX_FAMILY_DIMENSION)
     primes = primes_upto(n)
     if not primes:
         raise FamilySpecError(f"no primes <= {n}")
@@ -231,6 +234,7 @@ def family_squarefree(n: int) -> SupportFamily:
     One mask per square-free integer in [n]; the mask of m lists the primes
     dividing m.
     """
+    _check_dimension(n, MAX_FAMILY_DIMENSION)
     primes = primes_upto(n)
     masks: list[int] = []
 
@@ -379,12 +383,13 @@ def walsh_butterfly_inplace(w: np.ndarray) -> np.ndarray:
 def character_sum_table(masks: np.ndarray, n: int, coeffs: np.ndarray | None = None) -> np.ndarray:
     """sum_S c_S chi_S(x) at every point mask x of the n-cube, S over masks.
 
-    Scatters the coefficients (1 for every set when coeffs is None, giving
-    exact int64 sums bounded by the family size) and runs one butterfly.
+    Scatter-adds the coefficients (1 for every set when coeffs is None,
+    giving exact int64 sums bounded by the family size), so a repeated mask
+    counts once per occurrence, and runs one butterfly.
     """
     dtype = np.int64 if coeffs is None else coeffs.dtype
     table = np.zeros(1 << n, dtype=dtype)
-    table[masks.astype(np.int64)] = 1 if coeffs is None else coeffs
+    np.add.at(table, masks.astype(np.int64), 1 if coeffs is None else coeffs)
     return walsh_butterfly_inplace(table)
 
 
@@ -454,6 +459,8 @@ def philox(seed: int, stream: int) -> np.random.Philox:
 
 def _prime_array(n: int) -> np.ndarray:
     """Primes <= n, ascending, as an integer array: Eratosthenes in numpy."""
+    if n > MAX_SIEVE:
+        raise SizeGuardError(f"prime sieve bound {n} exceeds cap {MAX_SIEVE}")
     sieve = np.ones(max(n + 1, 2), dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(max(n, 0)) + 1):

@@ -1,10 +1,11 @@
 """Projection constants of cube function spaces: lambda(B_S^N) = E|sum_{S in
-family} chi_S|, computed exactly, by a level-symmetry fast path, by Monte
-Carlo, and through the known closed forms for singleton families.
+family} chi_S|, exactly, by Monte Carlo, and by closed forms for singletons.
 
-Exact paths accumulate integers (the integrand is an integer at every cube
-point) and divide by the cube size only at the end, so they return exact
-rationals with no rounding anywhere.
+Exact lambda has three routes, all chosen by lambda_of_spec: the level sum
+for homogeneous and upto families (lambda_level_exact), Haagerup's formula,
+the degree-1 level sum, for prime singletons (haagerup_lambda), and the Walsh
+butterfly for every other family (lambda_exact).  They accumulate integers
+and divide by the cube size only at the end, so they return exact rationals.
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ import numpy as np
 
 from .combinatorics import level_sum_at
 from .core import (
+    _KIND_ALIASES,
     _MODE_ALIASES,
     MAX_DIMENSION,
     MAX_ENUM_DIMENSION,
     CubeError,
     SizeGuardError,
     SupportFamily,
+    _prime_array,
     character_sum_table,
     family_squarefree,
+    make_family,
     philox,
-    primes_upto,
-    walsh_butterfly_inplace,
 )
 
 _WHT_MAX_DIRECT = 22  # 2^22 int64 = 32 MB per value table
@@ -99,40 +101,33 @@ def _compact_masks(family: SupportFamily) -> tuple[np.ndarray, int]:
 
 
 def _abs_sum_wht(compact: np.ndarray, n_act: int, threads: int) -> int:
-    if n_act <= _WHT_MAX_DIRECT:
-        # |g| <= |family| at every point, so int64 is exact for n_act <= 24
-        values = character_sum_table(compact, n_act)
-        np.abs(values, out=values)
-        return int(values.sum())
-    # Blocked: fix the high coordinates, one butterfly per block.  Block
-    # totals are exact ints, so the combination order cannot matter.
-    low_bits = _WHT_MAX_DIRECT
-    high = n_act - low_bits
-    low_mask = np.uint64((1 << low_bits) - 1)
-    low_parts = (compact & low_mask).astype(np.int64)
-    high_parts = (compact >> np.uint64(low_bits)).astype(np.uint64)
+    """sum |g| over the active cube.  Coordinates past the first 22 are fixed
+    to y per block, where chi_S = (-1)^popcount(S_high & y) chi_{S_low}: one
+    signed butterfly per block.  |g| <= |family| keeps int64 exact, and the
+    exact block totals may be added in any order."""
+    low_bits = min(n_act, _WHT_MAX_DIRECT)
+    low_parts = compact & np.uint64((1 << low_bits) - 1)
+    high_parts = compact >> np.uint64(low_bits)
 
     def block_total(y: int) -> int:
         signs = 1 - 2 * (np.bitwise_count(high_parts & np.uint64(y)).astype(np.int64) & 1)
-        table = np.zeros(1 << low_bits, dtype=np.int64)
-        np.add.at(table, low_parts, signs)
-        walsh_butterfly_inplace(table)
+        table = character_sum_table(low_parts, low_bits, signs)
         np.abs(table, out=table)
         return int(table.sum())
 
-    blocks = range(1 << high)
-    if threads > 1:
+    blocks = range(1 << (n_act - low_bits))
+    if len(blocks) > 1 and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return sum(pool.map(block_total, blocks))
-    return sum(block_total(y) for y in blocks)
+    return sum(map(block_total, blocks))
 
 
-def _abs_sum_gray(family: SupportFamily, compact: np.ndarray, n_act: int) -> int:
+def _abs_sum_gray(compact: np.ndarray, n_act: int) -> int:
     """Reference kernel: Gray-code walk with per-coordinate flip buckets.
 
     Each coordinate flip updates the running character sum through the sets
-    containing that coordinate only.  Pure Python; used for small cubes and
-    as the independent oracle for the butterfly kernel.
+    containing that coordinate only.  Pure Python; the independent oracle
+    that the butterfly kernel is tested against.
     """
     masks = [int(m) for m in compact]
     buckets: list[list[int]] = [[] for _ in range(n_act)]
@@ -155,29 +150,19 @@ def _abs_sum_gray(family: SupportFamily, compact: np.ndarray, n_act: int) -> int
     return total
 
 
-def lambda_exact(
-    family: SupportFamily,
-    kernel: str = "auto",
-    threads: int = 1,
-) -> Fraction:
-    """E|sum_{S in family} chi_S| as an exact rational.
+def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
+    """E|sum_{S in family} chi_S| as an exact rational, by the Walsh butterfly.
 
-    kernel: "auto" (butterfly, blocked beyond 2^22 points), or "gray" (pure
-    Python reference).  The guard applies to the number of active
-    coordinates; coordinates no set uses are integrated out for free.
+    The guard applies to the number of active coordinates; coordinates no
+    set uses are integrated out for free.  Past 22 of them the cube is summed
+    in blocks on `threads` worker threads.
     """
     compact, n_act = _compact_masks(family)
     if n_act > MAX_ENUM_DIMENSION:
         raise SizeGuardError(
             f"{n_act} active coordinates exceed the enumeration guard {MAX_ENUM_DIMENSION}"
         )
-    if kernel == "gray":
-        total = _abs_sum_gray(family, compact, n_act)
-    elif kernel in ("auto", "wht"):
-        total = _abs_sum_wht(compact, n_act, threads)
-    else:
-        raise CubeError(f"unknown kernel {kernel!r}")
-    return Fraction(total, 1 << n_act)
+    return Fraction(_abs_sum_wht(compact, n_act, threads), 1 << n_act)
 
 
 def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
@@ -204,7 +189,33 @@ def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
     return Fraction(total, 1 << n)
 
 
+def lambda_of_spec(spec: dict, threads: int = 1) -> tuple[Fraction, str, dict]:
+    """(lambda, method, family document) of a family JSON spec, exactly.
+
+    homogeneous and upto specs take the level sum ("level") and prime
+    singletons Haagerup's formula ("haagerup"), without building the family;
+    every other spec is built and goes through the butterfly ("exact").
+    """
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str):
+        raise CubeError("family spec is missing a string 'kind'")
+    kind = _KIND_ALIASES.get(kind, kind)
+    n = spec.get("N")
+    if not isinstance(n, int):
+        raise CubeError("family spec is missing an integer 'N'")
+    if kind in ("homogeneous", "upto"):
+        d = spec.get("d")
+        if not isinstance(d, int):
+            raise CubeError(f"{kind} family spec needs an integer 'd'")
+        return lambda_level_exact(n, d, mode=kind), "level", {"kind": kind, "N": n, "d": d}
+    if kind == "prime-singletons":
+        return haagerup_lambda(_prime_array(n).size), "haagerup", {"kind": kind, "N": n}
+    family = make_family(spec)
+    return lambda_exact(family, threads=threads), "exact", family.to_json_dict()
+
+
 _MC_CHUNK = 1 << 14
+MAX_MC_SAMPLES = 10**8
 
 
 def _mc_chunk_sums(seed: int, chunk_index: int, count: int, compact: np.ndarray, n_act: int):
@@ -235,6 +246,8 @@ def lambda_mc(
     """
     if samples < 100:
         raise CubeError(f"need samples >= 100, got {samples}")
+    if samples > MAX_MC_SAMPLES:
+        raise SizeGuardError(f"{samples} samples exceed the cap {MAX_MC_SAMPLES}")
     compact, n_act = _compact_masks(family)
     chunk_sizes = [
         min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)
@@ -283,19 +296,14 @@ def haagerup_lambda(n: int) -> Fraction:
     """
     if not 1 <= n <= 10_000:
         raise CubeError(f"need 1 <= n <= 10000, got {n}")
-    total = 0
-    binom = 1
-    for k in range(n + 1):
-        total += binom * abs(n - 2 * k)
-        binom = binom * (n - k) // (k + 1)
-    return Fraction(total, 1 << n)
+    return lambda_level_exact(n, 1)
 
 
 def prime_singleton_report(n: int) -> PrimeSingletonReport:
     """lambda of the prime-singleton family plus its sqrt(N/log N) ratio."""
     if n < 3:
         raise CubeError(f"need N >= 3, got {n}")
-    count = len(primes_upto(n))
+    count = _prime_array(n).size
     lam = haagerup_lambda(count)
     ratio = float(lam) / math.sqrt(n / math.log(n))
     return PrimeSingletonReport(lam=lam, ratio=ratio, prime_count=count)

@@ -281,6 +281,8 @@ def sidon_exact(
     """
     if not tol >= 0:
         raise CubeError(f"tol must be >= 0, got {tol}")
+    if tol == math.inf:
+        raise CubeError("tol must be finite, got inf")
     compact, n_act = _compact_masks(family)
     m = len(compact)
     if n_act > _MAX_PATTERN_DIM:

@@ -12,12 +12,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import combinatorics
-from .core import _MODE_ALIASES, CubeError, philox, walsh_butterfly_inplace
+from .core import _MODE_ALIASES, CubeError, SizeGuardError, philox, walsh_butterfly_inplace
 from .projection import lambda_level_exact
 
 _REL_SLACK = 1e-12
 _UPTO_CONSTANT = 2.69076
 _KLIMEK_CONSTANT = 1 + math.sqrt(2)
+_KLIMEK_MAX_CELLS = 1 << 24  # points x trials; 128 MiB per float64 table
+_MCKAY_MAX_N = 4001
+_RANGE_MAX_N = 100  # the range sweep's time grows about as max_n^4.5
+_DESIGFORO_MAX_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -118,8 +122,8 @@ def mckay_constant(n: int, alpha: int) -> BoundsReport:
         raise CubeError(f"need 0 <= alpha < N, got alpha={alpha}, N={n}")
     if (n - alpha) % 2 == 0:
         raise CubeError(f"N - alpha = {n - alpha} must be odd")
-    if n > 4001:
-        raise CubeError(f"N={n} exceeds the 4001 sweep cap")
+    if n > _MCKAY_MAX_N:
+        raise CubeError(f"N={n} exceeds the {_MCKAY_MAX_N} sweep cap")
     m = (n - alpha - 1) // 2
     lhs = _partial_binomial_sum(n, m)
     log_rhs_unit = (
@@ -152,6 +156,10 @@ def check_klimek(n: int, d: int, trials: int = 500, seed: int = 42) -> BoundsRep
         raise CubeError(f"need d <= N <= 14, got d={d}, N={n}")
     if trials < 1:
         raise CubeError("need trials >= 1")
+    if (1 << n) * trials > _KLIMEK_MAX_CELLS:
+        raise SizeGuardError(
+            f"{trials} trials on {1 << n} points exceed {_KLIMEK_MAX_CELLS} table cells"
+        )
     rng = np.random.Generator(philox(seed, 0))
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     support = weights <= d
@@ -274,12 +282,6 @@ def combinatorics_suite(max_n: int = 12) -> list[BoundsReport]:
     return _combinatorics_checks(max_n)[0]
 
 
-def combinatorics_document(max_n: int = 12) -> dict:
-    """Same checks as combinatorics_suite, shaped as one document:
-    {"identity": bool, "c_table": [...], "beckner": [...]}."""
-    return _combinatorics_checks(max_n)[1]
-
-
 _SUITES = ("range", "mckay", "desigforo", "klimek", "combinatorics")
 
 
@@ -291,11 +293,23 @@ def run_suite(
     klimek_trials: int = 500,
     seed: int = 42,
 ) -> list[BoundsReport]:
-    # a sweep bound under which a suite would check nothing is refused
+    # a sweep bound under which a suite would check nothing, or past what
+    # its checks accept, is refused before any suite runs
     if max_n < 1 and name in ("range", "combinatorics", "all"):
         raise CubeError(f"max_n must be >= 1, got {max_n}")
+    if max_n > _RANGE_MAX_N and name in ("range", "all"):
+        raise SizeGuardError(f"max_n {max_n} exceeds the range sweep cap {_RANGE_MAX_N}")
     if desigforo_max_n < 2 and name in ("desigforo", "all"):
         raise CubeError(f"desigforo_max_n must be >= 2, got {desigforo_max_n}")
+    if desigforo_max_n > _DESIGFORO_MAX_N and name in ("desigforo", "all"):
+        raise SizeGuardError(
+            f"desigforo_max_n {desigforo_max_n} exceeds the cap {_DESIGFORO_MAX_N}"
+        )
+    # the McKay sweep visits odd N only, so 4002 still stops at N = 4001
+    if mckay_max_n > _MCKAY_MAX_N + 1 and name in ("mckay", "all"):
+        raise SizeGuardError(
+            f"mckay_max_n {mckay_max_n} passes the {_MCKAY_MAX_N} sweep cap"
+        )
     if name == "range":
         return range_suite(max_n)
     if name == "mckay":

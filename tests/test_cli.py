@@ -1,5 +1,7 @@
 """Command line behavior: output documents, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cube_constants
 from cube_constants import cli, projection, verify
@@ -107,11 +111,22 @@ class TestUsage:
             lambda tmp: ["verify", "--suite", "all", "--max-n", "0"],
             lambda tmp: ["verify", "--suite", "desigforo", "--desigforo-max-n", "1"],
             lambda tmp: ["verify", "--suite", "all", "--desigforo-max-n", "1"],
+            lambda tmp: ["sidon", "--family", "homog:4:2", "--tol", "inf"],
+            lambda tmp: ["mc", "--family", "homog:6:2", "--samples", str(10**30)],
+            lambda tmp: ["verify", "--suite", "klimek", "--trials", str(10**30)],
+            lambda tmp: ["verify", "--suite", "range", "--max-n", "101"],
+            lambda tmp: ["verify", "--suite", "desigforo", "--desigforo-max-n", str(10**30)],
+            lambda tmp: ["verify", "--suite", "mckay", "--mckay-max-n", "4003"],
+            lambda tmp: ["primes", "--N", str(10**10)],
+            lambda tmp: ["exact", "--family", f"primes:{10**10}"],
+            lambda tmp: ["families", "--family", f"sqfree:{10**10}"],
         ],
         ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set",
              "threads-negative", "threads-zero", "combinatorics-max-n-0", "range-max-n-0",
              "range-max-n-negative", "all-max-n-0", "desigforo-max-n-1",
-             "all-desigforo-max-n-1"],
+             "all-desigforo-max-n-1", "infinite-tol", "huge-samples", "huge-trials",
+             "range-max-n-101", "huge-desigforo-max-n", "mckay-max-n-4003",
+             "primes-sieve-past-cap", "exact-primes-sieve-past-cap", "sqfree-past-cap"],
     )
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, make_argv):
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
@@ -124,6 +139,112 @@ def _family_file(tmp_path, spec) -> str:
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(spec))
     return f"file:{path}"
+
+
+# Exit-code contract: a bounded argv grammar over every subcommand and every
+# exact route, with edge values.  Sizes stay small (N <= 12 apart from values
+# a guard refuses at once, samples <= 2000, trials <= 5, small sweep bounds),
+# so no example starts large work.
+
+_HUGE = str(10**30)
+_SIZES = ["-1", "0", "1", "2", "3", "5", "8", "12", _HUGE]
+_SPEC_FILES = [
+    {"kind": "explicit", "N": 5, "sets": [[1, 2], [2, 3], [5]]},
+    {"kind": "explicit", "N": 4, "sets": [[1], [1]]},
+    {"kind": "explicit", "N": 0, "sets": [[1]]},
+    {"kind": "explicit", "N": 4, "sets": 5},
+    {"kind": "squarefree", "N": 12},
+    {"kind": "homogeneous", "N": 6},
+    {"kind": "upto", "N": 6, "d": "2"},
+    {"kind": "prime-singletons", "N": 12.0},
+    {"N": 4},
+    [1, 2],
+]
+_TOLS = ["0", "-1", "nan", "inf", "1e-300", "1e-5", "1e300"]
+_SEEDS = ["-1", "0", "7", str(2**63 - 1), str(2**63), _HUGE, "nan"]
+_THREADS = ["-1", "0", "1", "2", _HUGE, "nan"]
+_SAMPLES = ["-1", "0", "99", "100", "2000", _HUGE, "nan"]
+_SWEEPS = ["-3", "0", "1", "2", "5", _HUGE, "nan"]
+
+
+def _flag(flag, values):
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _args(*parts):
+    return st.tuples(*parts).map(lambda ps: [arg for p in ps for arg in p])
+
+
+def _cmd(name, *parts):
+    return _args(*parts).map(lambda argv: [name] + argv)
+
+
+def _families(sizes):
+    size = st.sampled_from(sizes)
+    return st.one_of(
+        st.builds("homog:{}:{}".format, size, size),
+        st.builds("upto:{}:{}".format, size, size),
+        st.builds("primes:{}".format, size),
+        st.builds("sqfree:{}".format, size),
+        st.sampled_from([f"file:{{dir}}/spec{i}.json" for i in range(len(_SPEC_FILES))]
+                        + ["file:{dir}/missing.json", "bogus", "homog:x:2"]),
+    ).map(lambda f: ["--family", f])
+
+
+_FORMAT = _opt("--format", ["json", "csv"])
+_THREADED = _opt("--threads", _THREADS)
+_ARGVS = st.one_of(
+    _cmd("exact", st.one_of(
+        _families(_SIZES),
+        _args(_opt("--N", _SIZES), _opt("--d", _SIZES),
+              _opt("--mode", ["exact-degree", "up-to-degree", "exact", "upto", "x"])),
+    ), _THREADED, _FORMAT),
+    _cmd("mc", _families(_SIZES), _flag("--samples", _SAMPLES), _opt("--seed", _SEEDS),
+         _THREADED, _FORMAT),
+    _cmd("limit", _opt("--d", ["-1", "0", "1", "2", "60", "61", _HUGE, "nan"]),
+         _opt("--N", ["10,20", "0", "-5", "12", _HUGE, "3,x"]), _FORMAT),
+    _cmd("table", _FORMAT),
+    # Sidon LPs grow fastest, so their families stay at N <= 4
+    _cmd("sidon", _families(["-1", "0", "1", "2", "3", "4", _HUGE]), _opt("--tol", _TOLS),
+         _opt("--max-orthants", ["-1", "0", "1", "16"]), _THREADED, _FORMAT),
+    _cmd("kappa", _opt("--tol", _TOLS), _FORMAT),
+    _cmd("verify",
+         _flag("--suite", ["range", "mckay", "desigforo", "klimek", "combinatorics",
+                           "all", "x"]),
+         *(_flag(flag, _SWEEPS) for flag in ("--max-n", "--mckay-max-n", "--desigforo-max-n")),
+         _flag("--trials", ["-1", "0", "1", "5", _HUGE]),
+         _opt("--seed", _SEEDS), _FORMAT),
+    _cmd("families", _families(_SIZES), _FORMAT),
+    _cmd("primes", _flag("--N", ["-1", "0", "2", "3", "12", "16", _HUGE, "nan"]),
+         _flag("--samples", _SAMPLES), _opt("--seed", _SEEDS), _THREADED, _FORMAT),
+)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("specs")
+    for i, spec in enumerate(_SPEC_FILES):
+        (folder / f"spec{i}.json").write_text(json.dumps(spec))
+    return folder
+
+
+@given(argv=_ARGVS)
+@settings(max_examples=60, deadline=None)
+def test_exit_code_contract(spec_dir, argv):
+    argv = [arg.replace("{dir}", str(spec_dir)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 64), (argv, err.getvalue())
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
 
 
 class TestTable:
@@ -261,11 +382,13 @@ class TestPrimesCommand:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is for the McKay/Szarek Y function only, imported when it runs
+    # scipy is for the McKay/Szarek Y function only and networkx for the
+    # Sidon graph atlas only; each is imported when its route runs
     src = os.path.dirname(os.path.dirname(cube_constants.__file__))
     code = (
         "import sys, cube_constants.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('scipy', 'networkx')))"
     )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

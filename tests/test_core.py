@@ -155,6 +155,20 @@ class TestNumpyButterfly:
             assert counts[x] == sum(chars)
             assert weighted[x] == sum(c * chi for c, chi in zip(coeffs, chars))
 
+    def test_character_sum_table_adds_repeated_masks(self):
+        # a mask listed twice counts twice: the blocked projection kernel
+        # relies on it when two sets agree on the low coordinates
+        n = 4
+        masks = np.array([0b0011, 0b0101, 0b0011], dtype=np.uint64)
+        coeffs = np.array([2, -1, 5], dtype=np.int64)
+        want = sum(core.character_sum_table(masks[i:i + 1], n, coeffs[i:i + 1])
+                   for i in range(3))
+        assert core.character_sum_table(masks, n, coeffs).tolist() == want.tolist()
+        counts = core.character_sum_table(masks, n)
+        assert counts.tolist() == sum(
+            core.character_sum_table(masks[i:i + 1], n) for i in range(3)
+        ).tolist()
+
 
 class TestGrayIteration:
     @given(st.integers(1, 10))
@@ -225,6 +239,17 @@ class TestFamilies:
         assert fam.n == 500
         assert core.family_prime_singletons(500).n == 500
 
+    @pytest.mark.parametrize(
+        "build",
+        [core.family_prime_singletons, core.family_squarefree,
+         lambda n: core.family_explicit(n, [[n]])],
+        ids=["primes", "squarefree", "explicit"],
+    )
+    def test_dimension_cap_refuses_before_building(self, build):
+        # 10**12 would need a terabyte sieve, so only an up-front check returns
+        with pytest.raises(core.SizeGuardError):
+            build(10**12)
+
     def test_permuted_preserves_membership_structure(self):
         fam = core.family_explicit(4, [[1, 2], [3]])
         out = fam.permuted([4, 3, 2, 1])
@@ -279,6 +304,10 @@ class TestPrimes:
     def test_edge_cases(self):
         assert core.primes_upto(1) == []
         assert core.primes_upto(2) == [2]
+
+    def test_sieve_cap(self):
+        with pytest.raises(core.SizeGuardError):
+            core.primes_upto(core.MAX_SIEVE + 1)
 
     def test_against_trial_division(self):
         want = []

@@ -40,9 +40,9 @@ class TestLambdaExact:
     @given(small_families())
     @settings(max_examples=30)
     def test_kernels_agree(self, fam):
-        wht = projection.lambda_exact(fam, kernel="wht")
-        gray = projection.lambda_exact(fam, kernel="gray")
-        assert wht == gray
+        compact, n_act = projection._compact_masks(fam)
+        gray = Fraction(projection._abs_sum_gray(compact, n_act), 1 << n_act)
+        assert projection.lambda_exact(fam) == gray
 
     def test_result_is_exact_rational(self):
         lam = projection.lambda_exact(core.family_homogeneous(3, 2))
@@ -75,6 +75,56 @@ class TestLambdaExact:
         fam = core.family_explicit(31, [[i] for i in range(1, 32)])
         with pytest.raises(core.SizeGuardError):
             projection.lambda_exact(fam)
+
+
+class TestLambdaOfSpec:
+    """The route owner: level sum, Haagerup, or butterfly, by spec kind."""
+
+    @pytest.mark.parametrize(
+        "spec, method, doc, family",
+        [
+            ({"kind": "homogeneous", "N": 6, "d": 2}, "level",
+             {"kind": "homogeneous", "N": 6, "d": 2}, core.family_homogeneous(6, 2)),
+            ({"kind": "upto", "N": 5, "d": 2}, "level",
+             {"kind": "upto", "N": 5, "d": 2}, core.family_upto(5, 2)),
+            ({"kind": "prime-singletons", "N": 20}, "haagerup",
+             {"kind": "prime-singletons", "N": 20}, core.family_prime_singletons(20)),
+            ({"kind": "squarefree", "N": 20}, "exact",
+             {"kind": "squarefree", "N": 20}, core.family_squarefree(20)),
+            ({"kind": "square-free", "N": 20}, "exact",
+             {"kind": "squarefree", "N": 20}, core.family_squarefree(20)),
+            ({"kind": "explicit", "N": 4, "sets": [[1, 2], [3]]}, "exact",
+             {"kind": "explicit", "N": 4, "sets": [[1, 2], [3]]},
+             core.family_explicit(4, [[1, 2], [3]])),
+        ],
+        ids=["homogeneous", "upto", "prime-singletons", "squarefree", "square-free",
+             "explicit"],
+    )
+    def test_routes(self, spec, method, doc, family):
+        lam, got_method, got_doc = projection.lambda_of_spec(spec, threads=2)
+        assert (got_method, got_doc) == (method, doc)
+        assert lam == brute_lambda(family)
+
+    def test_cli_n_d_specs_take_the_level_route(self):
+        # the specs exact --N/--d/--mode builds
+        for kind, mode in (("homogeneous", "exact-degree"), ("upto", "up-to-degree")):
+            lam, method, doc = projection.lambda_of_spec({"kind": kind, "N": 300, "d": 3})
+            assert method == "level"
+            assert doc == {"kind": kind, "N": 300, "d": 3}
+            assert lam == projection.lambda_level_exact(300, 3, mode)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"N": 4}, "family spec is missing a string 'kind'"),
+            ({"kind": "upto", "N": "4", "d": 2}, "family spec is missing an integer 'N'"),
+            ({"kind": "homogeneous", "N": 4}, "homogeneous family spec needs an integer 'd'"),
+        ],
+    )
+    def test_spec_errors(self, spec, message):
+        with pytest.raises(core.CubeError) as exc:
+            projection.lambda_of_spec(spec)
+        assert str(exc.value) == message
 
 
 class TestLambdaLevel:

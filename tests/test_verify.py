@@ -116,7 +116,7 @@ class TestSuites:
         assert rep.passed
 
     def test_combinatorics_document_shape(self):
-        doc = verify.combinatorics_document(max_n=6)
+        doc = verify._combinatorics_checks(6)[1]
         assert doc["identity"] is True
         assert {row["d"] for row in doc["c_table"]} == {2, 3, 4, 5, 6}
         assert all(row["within_bounds"] for row in doc["c_table"])
