@@ -23,6 +23,7 @@ MAX_DIMENSION = 63            # active coordinates must fit one machine word
 MAX_FAMILY_DIMENSION = 100000  # structural cap; masks are plain Python ints
 MAX_ENUM_DIMENSION = 30       # full-cube enumeration guard
 MAX_TRANSFORM_DIMENSION = 24  # in-memory transform guard
+MAX_FAMILY_SETS = 1 << 20     # sets a homogeneous or upto family may enumerate
 MAX_SIEVE = 10**8             # prime sieve bound; kappa needs at most 36500001
 
 FAMILY_KINDS = ("explicit", "homogeneous", "upto", "prime-singletons", "square-free")
@@ -202,12 +203,14 @@ def family_explicit(n: int, sets: Iterable[Iterable[int]]) -> SupportFamily:
 
 def family_homogeneous(n: int, d: int) -> SupportFamily:
     _check_degree(n, d)
+    _check_set_count(math.comb(n, d), f"homogeneous(N={n}, d={d})")
     masks = tuple(sorted(_masks_of_weight(n, d)))
     return SupportFamily(n, masks, "homogeneous", d)
 
 
 def family_upto(n: int, d: int) -> SupportFamily:
     _check_degree(n, d)
+    _check_set_count(sum(math.comb(n, k) for k in range(d + 1)), f"upto(N={n}, d={d})")
     masks = []
     for k in range(d + 1):
         masks.extend(_masks_of_weight(n, k))
@@ -292,6 +295,11 @@ def _check_degree(n: int, d: int) -> None:
     _check_dimension(n)
     if not isinstance(d, int) or not 1 <= d <= n:
         raise FamilySpecError(f"degree d={d!r} must satisfy 1 <= d <= N={n}")
+
+
+def _check_set_count(count: int, name: str) -> None:
+    if count > MAX_FAMILY_SETS:
+        raise SizeGuardError(f"{name} has {count} sets, over the cap {MAX_FAMILY_SETS}")
 
 
 def _masks_of_weight(n: int, k: int) -> Iterator[int]:

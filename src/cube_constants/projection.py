@@ -4,8 +4,17 @@ family} chi_S|, exactly, by Monte Carlo, and by closed forms for singletons.
 Exact lambda has three routes, all chosen by lambda_of_spec: the level sum
 for homogeneous and upto families (lambda_level_exact), Haagerup's formula,
 the degree-1 level sum, for prime singletons (haagerup_lambda), and the Walsh
-butterfly for every other family (lambda_exact).  They accumulate integers
-and divide by the cube size only at the end, so they return exact rationals.
+butterfly for every other family (lambda_exact).
+
+lambda_exact first peels off, repeatedly, every set that owns a coordinate
+no other remaining set holds; the peeled characters are independent uniform
+signs.  The butterfly runs over the remaining core's own coordinates only,
+in the narrowest integer table that holds its values, and gives the
+histogram of the core sum.  The peeled signs are folded back in exactly, as
+a Binomial(k, 1/2) shift of that histogram.
+
+Every route accumulates integers and divides by the cube size only at the
+end, so it returns an exact rational.
 """
 
 from __future__ import annotations
@@ -14,10 +23,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .combinatorics import level_sum_at
 from .core import (
     _KIND_ALIASES,
     _MODE_ALIASES,
@@ -33,7 +42,8 @@ from .core import (
     philox,
 )
 
-_WHT_MAX_DIRECT = 22  # 2^22 int64 = 32 MB per value table
+_WHT_MAX_DIRECT = 22  # 2^22 points per value table: 4 MB at int8, 32 MB at int64
+_BINCOUNT_CHUNK = 1 << 16  # bincount copies its input to int64; keep the copy small
 MAX_LEVEL_N = 100_000
 _Z95 = 1.96
 
@@ -100,26 +110,70 @@ def _compact_masks(family: SupportFamily) -> tuple[np.ndarray, int]:
     return np.array(compact, dtype=np.uint64), n_act
 
 
-def _abs_sum_wht(compact: np.ndarray, n_act: int, threads: int) -> int:
-    """sum |g| over the active cube.  Coordinates past the first 22 are fixed
-    to y per block, where chi_S = (-1)^popcount(S_high & y) chi_{S_low}: one
-    signed butterfly per block.  |g| <= |family| keeps int64 exact, and the
-    exact block totals may be added in any order."""
-    low_bits = min(n_act, _WHT_MAX_DIRECT)
+def _peel_private(masks: list[int]) -> tuple[list[int], int]:
+    """(core masks, k): drop every set holding a coordinate that no other
+    remaining set holds, and repeat until no such set is left.
+
+    A dropped set's private coordinate lies in no set still remaining, so
+    in drop order the sets and their private coordinates form a triangular
+    system: the k dropped characters are independent uniform signs, and
+    independent of the core's coordinates.
+    """
+    k = 0
+    while True:
+        once = twice = 0
+        for m in masks:
+            twice |= once & m
+            once |= m
+        private = once & ~twice  # coordinates held by exactly one set
+        if not private:
+            return masks, k
+        core = [m for m in masks if not m & private]
+        k += len(masks) - len(core)
+        masks = core
+
+
+def _value_histogram(compact: np.ndarray, n: int, threads: int) -> np.ndarray:
+    """count(g) of g = sum_S chi_S over the n-cube, at index g + |family|.
+
+    Coordinates past the first 22 are fixed to y per block, where chi_S =
+    (-1)^popcount(S_high & y) chi_{S_low}: one signed butterfly per block.
+    Every value the butterfly forms lies in [-|family|, |family|], so the
+    table takes the smallest signed type that also holds the offset value
+    2|family| fed to bincount.  The counts total 2^n <= 2^30, so their
+    int64 block sums are exact in any order.
+    """
+    size = len(compact)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if 2 * size <= np.iinfo(t).max)
+    low_bits = min(n, _WHT_MAX_DIRECT)
     low_parts = compact & np.uint64((1 << low_bits) - 1)
     high_parts = compact >> np.uint64(low_bits)
 
-    def block_total(y: int) -> int:
-        signs = 1 - 2 * (np.bitwise_count(high_parts & np.uint64(y)).astype(np.int64) & 1)
-        table = character_sum_table(low_parts, low_bits, signs)
-        np.abs(table, out=table)
-        return int(table.sum())
+    def block_counts(y: int) -> np.ndarray:
+        parity = (np.bitwise_count(high_parts & np.uint64(y)) & 1).astype(dtype)
+        table = character_sum_table(low_parts, low_bits, 1 - 2 * parity)
+        table += size
+        return sum(np.bincount(table[i : i + _BINCOUNT_CHUNK], minlength=2 * size + 1)
+                   for i in range(0, table.size, _BINCOUNT_CHUNK))
 
-    blocks = range(1 << (n_act - low_bits))
+    blocks = range(1 << (n - low_bits))
     if len(blocks) > 1 and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(block_total, blocks))
-    return sum(map(block_total, blocks))
+            return sum(pool.map(block_counts, blocks))
+    return sum(map(block_counts, blocks))
+
+
+def _fold_signs(hist: np.ndarray, size: int, k: int) -> int:
+    """sum_g count(g) sum_j C(k,j) |g + k - 2j|: 2^k times the abs-sum of
+    the core plus k independent uniform signs, in exact integers."""
+    weights = [math.comb(k, j) for j in range(k + 1)]
+    nonzero = np.flatnonzero(hist)
+    total = 0
+    for index, count in zip(nonzero.tolist(), hist[nonzero].tolist()):
+        shift = index - size + k
+        total += count * sum(w * abs(shift - 2 * j) for j, w in enumerate(weights))
+    return total
 
 
 def _abs_sum_gray(compact: np.ndarray, n_act: int) -> int:
@@ -151,18 +205,33 @@ def _abs_sum_gray(compact: np.ndarray, n_act: int) -> int:
 
 
 def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
-    """E|sum_{S in family} chi_S| as an exact rational, by the Walsh butterfly.
+    """E|sum_{S in family} chi_S| as an exact rational.
 
-    The guard applies to the number of active coordinates; coordinates no
-    set uses are integrated out for free.  Past 22 of them the cube is summed
-    in blocks on `threads` worker threads.
+    Coordinates no set uses are integrated out for free, and the guard
+    applies to the remaining active ones.  Sets that own a coordinate are
+    peeled off, repeatedly (_peel_private); their k characters are
+    independent uniform signs.  The Walsh butterfly then runs over the
+    core's own active coordinates only and yields the histogram count(g) of
+    the core sum g, and the signs are folded in exactly:
+
+        lambda = 2^-(n_core+k) sum_g count(g) sum_j C(k,j) |g + k - 2j|.
+
+    An empty core is Haagerup's case: count(0) = 1.  Past 22 core
+    coordinates the cube is summed in blocks on `threads` worker threads.
     """
     compact, n_act = _compact_masks(family)
     if n_act > MAX_ENUM_DIMENSION:
         raise SizeGuardError(
             f"{n_act} active coordinates exceed the enumeration guard {MAX_ENUM_DIMENSION}"
         )
-    return Fraction(_abs_sum_wht(compact, n_act, threads), 1 << n_act)
+    core, k = _peel_private(compact.tolist())
+    if k:
+        compact, n_act = (
+            _compact_masks(SupportFamily(n_act, tuple(core)))
+            if core else (np.zeros(0, dtype=np.uint64), 0)
+        )
+    hist = _value_histogram(compact, n_act, threads)
+    return Fraction(_fold_signs(hist, len(compact), k), 1 << (n_act + k))
 
 
 def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
@@ -180,12 +249,22 @@ def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
     if n > MAX_LEVEL_N:
         raise SizeGuardError(f"N={n} exceeds level-formula cap {MAX_LEVEL_N}")
     degrees = range(d, d + 1) if mode == "exact-degree" else range(0, d + 1)
+    # At each m, up[j] = C(m, j) and down[i] = (-1)^i C(n-m, i), so that
+    # level_sum_at(n, k, m) = sum_j up[j] down[k-j]; Pascal's rule steps m.
+    up = [1] + [0] * d
+    down = [(-1) ** i * math.comb(n, i) for i in range(d + 1)]
+    steps = range(1, d + 1)
     total = 0
     binom = 1  # C(n, m), updated incrementally
     for m in range(n + 1):
-        t = sum(level_sum_at(n, k, m) for k in degrees)
+        t = 0
+        for k in degrees:
+            t += sum(map(mul, up[: k + 1], down[k::-1]))
         total += binom * abs(t)
         binom = binom * (n - m) // (m + 1)
+        for j in steps:
+            up[d + 1 - j] += up[d - j]
+            down[j] += down[j - 1]
     return Fraction(total, 1 << n)
 
 

@@ -120,13 +120,16 @@ class TestUsage:
             lambda tmp: ["primes", "--N", str(10**10)],
             lambda tmp: ["exact", "--family", f"primes:{10**10}"],
             lambda tmp: ["families", "--family", f"sqfree:{10**10}"],
+            lambda tmp: ["mc", "--family", "homog:40:20", "--samples", "1000"],
+            lambda tmp: ["mc", "--family", "upto:60:30", "--samples", "1000"],
         ],
         ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set",
              "threads-negative", "threads-zero", "combinatorics-max-n-0", "range-max-n-0",
              "range-max-n-negative", "all-max-n-0", "desigforo-max-n-1",
              "all-desigforo-max-n-1", "infinite-tol", "huge-samples", "huge-trials",
              "range-max-n-101", "huge-desigforo-max-n", "mckay-max-n-4003",
-             "primes-sieve-past-cap", "exact-primes-sieve-past-cap", "sqfree-past-cap"],
+             "primes-sieve-past-cap", "exact-primes-sieve-past-cap", "sqfree-past-cap",
+             "homog-set-count-past-cap", "upto-set-count-past-cap"],
     )
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, make_argv):
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
@@ -143,8 +146,8 @@ def _family_file(tmp_path, spec) -> str:
 
 # Exit-code contract: a bounded argv grammar over every subcommand and every
 # exact route, with edge values.  Sizes stay small (N <= 12 apart from values
-# a guard refuses at once, samples <= 2000, trials <= 5, small sweep bounds),
-# so no example starts large work.
+# a guard refuses at once, such as families past the set-count cap, samples
+# <= 2000, trials <= 5, small sweep bounds), so no example starts large work.
 
 _HUGE = str(10**30)
 _SIZES = ["-1", "0", "1", "2", "3", "5", "8", "12", _HUGE]
@@ -191,7 +194,8 @@ def _families(sizes):
         st.builds("primes:{}".format, size),
         st.builds("sqfree:{}".format, size),
         st.sampled_from([f"file:{{dir}}/spec{i}.json" for i in range(len(_SPEC_FILES))]
-                        + ["file:{dir}/missing.json", "bogus", "homog:x:2"]),
+                        + ["file:{dir}/missing.json", "bogus", "homog:x:2",
+                           "homog:40:20", "upto:60:30"]),
     ).map(lambda f: ["--family", f])
 
 

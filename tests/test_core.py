@@ -206,6 +206,22 @@ class TestFamilies:
     def test_full_family(self):
         assert len(core.family_full(4)) == 16
 
+    def test_set_count_cap_refuses_before_enumerating(self):
+        # C(40, 20) = 1.4e11 and sum_{k<=30} C(60, k) = 6.4e17 masks
+        with pytest.raises(core.SizeGuardError, match="137846528820 sets"):
+            core.family_homogeneous(40, 20)
+        with pytest.raises(core.SizeGuardError):
+            core.family_upto(60, 30)
+
+    def test_set_count_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_FAMILY_SETS", math.comb(10, 5))
+        assert len(core.family_homogeneous(10, 5)) == 252
+        with pytest.raises(core.SizeGuardError):
+            core.family_homogeneous(11, 5)
+        assert len(core.family_upto(10, 3)) == 1 + 10 + 45 + 120
+        with pytest.raises(core.SizeGuardError):
+            core.family_upto(10, 4)  # 386 sets
+
     def test_explicit_rejects_duplicates(self):
         with pytest.raises(core.FamilySpecError):
             core.family_explicit(3, [[1, 2], [2, 1]])

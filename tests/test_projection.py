@@ -4,11 +4,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cube_constants import core, projection
+from cube_constants import combinatorics, core, projection
 
 
 def brute_lambda(fam: core.SupportFamily) -> Fraction:
@@ -31,6 +32,26 @@ def small_families(draw):
     return core.SupportFamily(n, tuple(sorted(masks)), "explicit")
 
 
+@st.composite
+def peelable_families(draw):
+    """A path x_a x_b, x_b x_c, ... on shuffled coordinates, which peels from
+    its ends one round at a time, plus a few arbitrary sets (maybe empty)."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    length = draw(st.integers(1, n - 1))
+    path = [sorted(order[i : i + 2]) for i in range(length)]
+    extra = draw(st.lists(
+        st.lists(st.integers(1, n), max_size=3, unique=True).map(sorted), max_size=4
+    ))
+    sets = {tuple(s) for s in path + extra}
+    return core.family_explicit(n, sorted(sets))
+
+
+def gray_lambda(fam: core.SupportFamily) -> Fraction:
+    compact, n_act = projection._compact_masks(fam)
+    return Fraction(projection._abs_sum_gray(compact, n_act), 1 << n_act)
+
+
 class TestLambdaExact:
     @given(small_families())
     @settings(max_examples=80)
@@ -40,16 +61,52 @@ class TestLambdaExact:
     @given(small_families())
     @settings(max_examples=30)
     def test_kernels_agree(self, fam):
-        compact, n_act = projection._compact_masks(fam)
-        gray = Fraction(projection._abs_sum_gray(compact, n_act), 1 << n_act)
-        assert projection.lambda_exact(fam) == gray
+        assert projection.lambda_exact(fam) == gray_lambda(fam)
+
+    @given(peelable_families())
+    @settings(max_examples=40, deadline=None)
+    def test_cascading_peel_matches_references(self, fam):
+        lam = projection.lambda_exact(fam)
+        assert lam == brute_lambda(fam)
+        assert lam == gray_lambda(fam)
+
+    def test_path_peels_to_an_empty_core(self):
+        # {1,2},{2,3},...,{7,8}: each round drops the two end sets
+        fam = core.family_explicit(8, [[i, i + 1] for i in range(1, 8)])
+        compact, _ = projection._compact_masks(fam)
+        assert projection._peel_private(compact.tolist()) == ([], 7)
+        assert projection.lambda_exact(fam) == projection.haagerup_lambda(7)
+
+    def test_squarefree_matches_gray_reference(self):
+        for n in range(2, 61):
+            fam = core.family_squarefree(n)
+            assert projection.lambda_exact(fam) == gray_lambda(fam), n
+
+    def test_butterfly_runs_on_the_core_only(self, monkeypatch):
+        calls = []
+        kernel = projection.character_sum_table
+
+        def spy(masks, n, coeffs=None):
+            calls.append((n, coeffs.dtype))
+            return kernel(masks, n, coeffs)
+
+        monkeypatch.setattr(projection, "character_sum_table", spy)
+        # 25 primes <= 97; the 10 primes above 48 are private singletons
+        projection.lambda_exact(core.family_squarefree(97))
+        assert calls == [(15, np.int8)]
+        # g + |family| reaches 2 * 16384 = 32768 > int16 max on the full 14-cube
+        calls.clear()
+        projection.lambda_exact(core.family_full(13))
+        projection.lambda_exact(core.family_full(14))
+        assert calls == [(13, np.int16), (14, np.int32)]
 
     def test_result_is_exact_rational(self):
         lam = projection.lambda_exact(core.family_homogeneous(3, 2))
         assert lam == Fraction(3, 2)
 
     def test_full_family_is_one(self):
-        for n in range(1, 9):
+        # n = 14..16 sit past the int16 table boundary
+        for n in range(1, 17):
             assert projection.lambda_exact(core.family_full(n)) == 1
 
     def test_inactive_coordinates_ignored(self):
@@ -59,10 +116,15 @@ class TestLambdaExact:
         assert projection.lambda_exact(fam) == projection.lambda_exact(small)
 
     def test_blocked_kernel_agrees_with_direct(self, monkeypatch):
-        fam = core.family_homogeneous(9, 2)
+        fam = core.family_homogeneous(9, 2)  # no private set: the core is all 9
         want = projection.lambda_exact(fam)
+        blocks = []
+        kernel = projection.character_sum_table
+        monkeypatch.setattr(projection, "character_sum_table",
+                            lambda masks, n, coeffs: blocks.append(n) or kernel(masks, n, coeffs))
         monkeypatch.setattr(projection, "_WHT_MAX_DIRECT", 5)
         assert projection.lambda_exact(fam) == want
+        assert blocks == [5] * 16
         assert projection.lambda_exact(fam, threads=3) == want
 
     def test_enumeration_guard(self):
@@ -139,6 +201,24 @@ class TestLambdaLevel:
         lev = projection.lambda_level_exact(n, d, mode)
         assert lev == projection.lambda_exact(fam_fn(n, d))
 
+    def test_matches_level_sum_at_reference(self):
+        # the sum over m of C(n, m) |sum_k level_sum_at(n, k, m)|, binomials
+        # from scratch at every m
+        for n in range(1, 201):
+            top = min(n, 4)
+            level = [[combinatorics.level_sum_at(n, k, m) for m in range(n + 1)]
+                     for k in range(top + 1)]
+
+            def reference(degrees):
+                total = sum(math.comb(n, m) * abs(sum(level[k][m] for k in degrees))
+                            for m in range(n + 1))
+                return Fraction(total, 1 << n)
+
+            for d in range(1, top + 1):
+                assert projection.lambda_level_exact(n, d) == reference(range(d, d + 1))
+                assert projection.lambda_level_exact(n, d, "upto") == reference(range(d + 1))
+            assert projection.haagerup_lambda(n) == reference([1])
+
     def test_mode_aliases(self):
         a = projection.lambda_level_exact(8, 3, "exact")
         b = projection.lambda_level_exact(8, 3, "exact-degree")
@@ -196,9 +276,12 @@ class TestHaagerup:
         assert projection.haagerup_lambda(5) == Fraction(15, 8)
 
     def test_equals_exact_singletons(self):
-        for n in range(1, 15):
+        # all-singleton families peel to an empty core, up to the guard of 30
+        for n in range(1, 31):
             fam = core.family_homogeneous(n, 1)
             assert projection.haagerup_lambda(n) == projection.lambda_exact(fam)
+        fam = core.family_prime_singletons(113)  # 30 primes, scattered
+        assert projection.lambda_exact(fam) == projection.haagerup_lambda(30)
 
     def test_growth_ratio_tends_to_gaussian(self):
         # E|sum eps_i| / sqrt(n) -> sqrt(2/pi)
