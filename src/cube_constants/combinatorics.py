@@ -22,7 +22,7 @@ from .hermite import hermite_poly
 
 MAX_CLASS_ORDER = 20
 MAX_C_DEGREE = 10
-MAX_C_ENUM_N = 40  # composition enumeration above this is pointless; use the series route
+_BECKNER_RESIDUAL_CAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,50 +58,6 @@ def class_size(alpha: MultiIndex | Sequence[int]) -> int:
     return size
 
 
-def _check_c_params(d: int, k: int, n: int) -> None:
-    if not 1 <= k <= d // 2:
-        raise CubeError(f"k={k} must satisfy 1 <= k <= floor(d/2)={d // 2}")
-    if not d <= n:
-        raise CubeError(f"need d <= N, got d={d}, N={n}")
-    if d > MAX_C_DEGREE:
-        raise SizeGuardError(f"d={d} exceeds {MAX_C_DEGREE}")
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
-
-
-def c_coefficient_enum(d: int, k: int, n: int, support: Sequence[int] | None = None) -> int:
-    """C_{d,k,N} by direct enumeration of even multi-indices of order 2k.
-
-    support picks the coordinates carrying the fixed square-free index of
-    order d-2k (default: the first d-2k).  The value must not depend on that
-    choice; c_coefficient re-checks this with a second placement.
-    """
-    _check_c_params(d, k, n)
-    if n > MAX_C_ENUM_N:
-        raise SizeGuardError(f"enumeration route capped at N={MAX_C_ENUM_N}, got {n}")
-    t = d - 2 * k
-    base = frozenset(support) if support is not None else frozenset(range(t))
-    if len(base) != t or any(not 0 <= i < n for i in base):
-        raise CubeError(f"support must be {t} distinct coordinates in [0, {n})")
-    fact = [math.factorial(i) for i in range(d + 1)]
-    total = 0
-    for beta in _compositions(k, n):
-        gamma_fact = 1
-        for i, b in enumerate(beta):
-            if b:
-                gamma_fact *= fact[2 * b + (i in base)]
-        total += fact[d] // gamma_fact
-    return total
-
-
 def _series_pow(series: list[Fraction], exponent: int, order: int) -> list[Fraction]:
     """series**exponent truncated beyond `order`, exponent >= 0 small."""
     out = [Fraction(1)] + [Fraction(0)] * order
@@ -117,8 +73,8 @@ def _series_pow(series: list[Fraction], exponent: int, order: int) -> list[Fract
     return out
 
 
-def c_coefficient_series(d: int, k: int, n: int) -> int:
-    """C_{d,k,N} in closed form, polynomial in N; works for any N >= d.
+def c_coefficient(d: int, k: int, n: int) -> int:
+    """C_{d,k,N}, exact, in closed form: polynomial in N, for any N >= d.
 
     Split the even index beta (order k) into the part overlapping the fixed
     square-free support (t = d-2k coordinates, per-coordinate weight
@@ -129,7 +85,12 @@ def c_coefficient_series(d: int, k: int, n: int) -> int:
 
     with A(z) = sum z^b/(1+2b)!, B(z) = sum z^b/(2b)!.
     """
-    _check_c_params(d, k, n)
+    if not 1 <= k <= d // 2:
+        raise CubeError(f"k={k} must satisfy 1 <= k <= floor(d/2)={d // 2}")
+    if not d <= n:
+        raise CubeError(f"need d <= N, got d={d}, N={n}")
+    if d > MAX_C_DEGREE:
+        raise SizeGuardError(f"d={d} exceeds {MAX_C_DEGREE}")
     t = d - 2 * k
     a_series = [Fraction(1, math.factorial(1 + 2 * b)) for b in range(k + 1)]
     b_minus_one = [Fraction(0)] + [Fraction(1, math.factorial(2 * b)) for b in range(1, k + 1)]
@@ -148,26 +109,6 @@ def c_coefficient_series(d: int, k: int, n: int) -> int:
     if value.denominator != 1:
         raise CubeError("C coefficient came out non-integral; broken identity")
     return int(value)
-
-
-def c_coefficient(d: int, k: int, n: int) -> int:
-    """C_{d,k,N}, exact.
-
-    Small N: enumeration with two different support placements (the defining
-    sum must not depend on the representative).  Large N: the series route.
-    Both routes agree on the overlap; tests pin that down.
-    """
-    _check_c_params(d, k, n)
-    if n <= min(MAX_C_ENUM_N, 14):
-        t = d - 2 * k
-        first = c_coefficient_enum(d, k, n, support=list(range(t)))
-        second = c_coefficient_enum(d, k, n, support=list(range(n - t, n)))
-        if first != second:
-            raise CubeError(
-                f"C({d},{k},{n}) depends on the support placement: {first} != {second}"
-            )
-        return first
-    return c_coefficient_series(d, k, n)
 
 
 def c_coefficient_bounds(d: int, k: int, n: int) -> tuple[int, int]:
@@ -230,7 +171,7 @@ class BecknerFit:
     context: dict = field(default_factory=dict, compare=False)
 
 
-def beckner_coefficients(d: int, n: int, residual_cap: float = 1e-8) -> BecknerFit:
+def beckner_coefficients(d: int, n: int) -> BecknerFit:
     """Fit N^{-d/2} sum_{|S|=d} x^S = (1/d!)(h_d(s) + (1/N) sum_k a_k h_{d-2k}(s))
     over the attainable s = (2m-N)/sqrt(N), m = 0..N.
 
@@ -257,6 +198,6 @@ def beckner_coefficients(d: int, n: int, residual_cap: float = 1e-8) -> BecknerF
     a, *_ = np.linalg.lstsq(design, target, rcond=None)
     reconstructed = (h[d] + design @ a) / d_fact
     residual = float(np.max(np.abs(reconstructed - lhs)))
-    if residual > residual_cap:
-        raise CubeError(f"Beckner fit residual {residual:.3e} above {residual_cap:.1e}")
+    if residual > _BECKNER_RESIDUAL_CAP:
+        raise CubeError(f"Beckner fit residual {residual:.3e} above {_BECKNER_RESIDUAL_CAP:.1e}")
     return BecknerFit(d, n, tuple(float(v) for v in a), residual, {"points": n + 1})

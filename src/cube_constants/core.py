@@ -388,6 +388,38 @@ def walsh_butterfly_inplace(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _compact_masks(masks: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Masks re-indexed onto their active coordinates (those some mask
+    holds) only.
+
+    Inactive coordinates contribute a factor 2 to both the point count and
+    the number of points with each value, so dropping them changes nothing.
+    """
+    active = 0
+    for m in masks:
+        active |= m
+    place = {}
+    rest = active
+    while rest:
+        low = rest & -rest
+        place[low.bit_length() - 1] = len(place)
+        rest ^= low
+    n_act = len(place)
+    if n_act > MAX_DIMENSION:
+        raise SizeGuardError(
+            f"{n_act} active coordinates exceed the word cap {MAX_DIMENSION}"
+        )
+    compact = []
+    for m in masks:
+        cm = 0
+        while m:
+            low = m & -m
+            cm |= 1 << place[low.bit_length() - 1]
+            m ^= low
+        compact.append(cm)
+    return np.array(compact, dtype=np.uint64), n_act
+
+
 def character_sum_table(masks: np.ndarray, n: int, coeffs: np.ndarray | None = None) -> np.ndarray:
     """sum_S c_S chi_S(x) at every point mask x of the n-cube, S over masks.
 

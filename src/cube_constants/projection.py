@@ -30,11 +30,11 @@ import numpy as np
 from .core import (
     _KIND_ALIASES,
     _MODE_ALIASES,
-    MAX_DIMENSION,
     MAX_ENUM_DIMENSION,
     CubeError,
     SizeGuardError,
     SupportFamily,
+    _compact_masks,
     _prime_array,
     character_sum_table,
     family_squarefree,
@@ -79,35 +79,6 @@ class SquarefreeReport:
     family_size: int
     exact: Fraction | None
     agrees_with_exact: bool | None
-
-
-def _compact_masks(family: SupportFamily) -> tuple[np.ndarray, int]:
-    """Family masks re-indexed onto the active coordinates only.
-
-    Inactive coordinates contribute a factor 2 to both the point count and
-    the number of points with each value, so dropping them changes nothing.
-    """
-    active = family.active_mask()
-    place = {}
-    rest = active
-    while rest:
-        low = rest & -rest
-        place[low.bit_length() - 1] = len(place)
-        rest ^= low
-    n_act = len(place)
-    if n_act > MAX_DIMENSION:
-        raise SizeGuardError(
-            f"{n_act} active coordinates exceed the word cap {MAX_DIMENSION}"
-        )
-    compact = []
-    for m in family.masks:
-        cm = 0
-        while m:
-            low = m & -m
-            cm |= 1 << place[low.bit_length() - 1]
-            m ^= low
-        compact.append(cm)
-    return np.array(compact, dtype=np.uint64), n_act
 
 
 def _peel_private(masks: list[int]) -> tuple[list[int], int]:
@@ -176,34 +147,6 @@ def _fold_signs(hist: np.ndarray, size: int, k: int) -> int:
     return total
 
 
-def _abs_sum_gray(compact: np.ndarray, n_act: int) -> int:
-    """Reference kernel: Gray-code walk with per-coordinate flip buckets.
-
-    Each coordinate flip updates the running character sum through the sets
-    containing that coordinate only.  Pure Python; the independent oracle
-    that the butterfly kernel is tested against.
-    """
-    masks = [int(m) for m in compact]
-    buckets: list[list[int]] = [[] for _ in range(n_act)]
-    for idx, m in enumerate(masks):
-        for i in range(n_act):
-            if (m >> i) & 1:
-                buckets[i].append(idx)
-    signs = [1] * len(masks)
-    g = len(masks)  # all-plus point: every character is +1
-    total = abs(g)
-    for t in range(1, 1 << n_act):
-        flip = ((t ^ (t >> 1)) ^ ((t - 1) ^ ((t - 1) >> 1))).bit_length() - 1
-        delta = 0
-        bucket = buckets[flip]
-        for idx in bucket:
-            delta += signs[idx]
-            signs[idx] = -signs[idx]
-        g -= 2 * delta
-        total += abs(g)
-    return total
-
-
 def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
     """E|sum_{S in family} chi_S| as an exact rational.
 
@@ -219,19 +162,15 @@ def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
     An empty core is Haagerup's case: count(0) = 1.  Past 22 core
     coordinates the cube is summed in blocks on `threads` worker threads.
     """
-    compact, n_act = _compact_masks(family)
+    n_act = family.active_mask().bit_count()
     if n_act > MAX_ENUM_DIMENSION:
         raise SizeGuardError(
             f"{n_act} active coordinates exceed the enumeration guard {MAX_ENUM_DIMENSION}"
         )
-    core, k = _peel_private(compact.tolist())
-    if k:
-        compact, n_act = (
-            _compact_masks(SupportFamily(n_act, tuple(core)))
-            if core else (np.zeros(0, dtype=np.uint64), 0)
-        )
-    hist = _value_histogram(compact, n_act, threads)
-    return Fraction(_fold_signs(hist, len(compact), k), 1 << (n_act + k))
+    core, k = _peel_private(list(family.masks))
+    compact, n_core = _compact_masks(core)
+    hist = _value_histogram(compact, n_core, threads)
+    return Fraction(_fold_signs(hist, len(compact), k), 1 << (n_core + k))
 
 
 def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
@@ -327,7 +266,7 @@ def lambda_mc(
         raise CubeError(f"need samples >= 100, got {samples}")
     if samples > MAX_MC_SAMPLES:
         raise SizeGuardError(f"{samples} samples exceed the cap {MAX_MC_SAMPLES}")
-    compact, n_act = _compact_masks(family)
+    compact, n_act = _compact_masks(family.masks)
     chunk_sizes = [
         min(_MC_CHUNK, samples - start) for start in range(0, samples, _MC_CHUNK)
     ]

@@ -22,21 +22,24 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    MAX_TRANSFORM_DIMENSION,
     CubeError,
     SizeGuardError,
     SupportFamily,
     WalshPolynomial,
+    _compact_masks,
     _prime_array,
     character_sum_table,
     philox,
 )
-from .projection import _compact_masks, lambda_level_exact
+from .projection import lambda_level_exact
 
 _LP_TOL = 1e-9
 _LP_MAX_ITER = 20_000
 _DEGENERATE_RUN = 20  # degenerate pivots before Bland's rule takes over
 _MAX_PATTERN_DIM = 16  # active coordinates; constraint rows grow as 2^this
 DEFAULT_MAX_ORTHANTS = 1 << 16
+_BGL3_KAPPA_TOL = 1e-6
 
 
 class LpUnboundedError(CubeError):
@@ -44,10 +47,9 @@ class LpUnboundedError(CubeError):
     characters, so reaching this means the constraint system is broken."""
 
 
-def lp_maximize(
-    c, A, b=None, tol: float = _LP_TOL
-) -> tuple[float, np.ndarray]:
-    """max c.a subject to A a <= b, a free; dense simplex on the dual.
+def lp_maximize(c, A, tol: float = _LP_TOL) -> tuple[float, np.ndarray]:
+    """max c.a subject to A a <= b = (1, ..., 1), a free; dense simplex on
+    the dual.
 
     The dual  min b.y  s.t.  A^T y = c, y >= 0  has one equality row per
     variable, so its tableau is (n + 1) x (m + 1) where the primal one would
@@ -75,9 +77,7 @@ def lp_maximize(
     m, n = A.shape
     if c.shape != (n,):
         raise CubeError(f"objective length {c.shape} does not match {n} columns")
-    b = np.ones(m) if b is None else np.asarray(b, dtype=float)
-    if np.any(b < 0):
-        raise CubeError("simplex start requires b >= 0")
+    b = np.ones(m)
     sign = np.where(c < 0, -1.0, 1.0)
     columns = A.T * sign[:, None]
     # artificial k sits at index m + k of these, which its label k - n
@@ -283,7 +283,7 @@ def sidon_exact(
         raise CubeError(f"tol must be >= 0, got {tol}")
     if tol == math.inf:
         raise CubeError("tol must be finite, got inf")
-    compact, n_act = _compact_masks(family)
+    compact, n_act = _compact_masks(family.masks)
     m = len(compact)
     if n_act > _MAX_PATTERN_DIM:
         raise SizeGuardError(f"{n_act} active coordinates exceed {_MAX_PATTERN_DIM}")
@@ -342,9 +342,7 @@ class Bgl3Report:
     orthants_solved: int
 
 
-def check_sidon_projection_bound(
-    n: int, d: int, kappa_tol: float = 1e-6, threads: int = 1
-) -> Bgl3Report:
+def check_sidon_projection_bound(n: int, d: int, threads: int = 1) -> Bgl3Report:
     """sid of the degree-d family against e^d (2d) kappa^d 2^{d-1} times the
     projection constant one degree down."""
     if not 2 <= d <= n:
@@ -353,7 +351,7 @@ def check_sidon_projection_bound(
 
     sid = sidon_exact(family_homogeneous(n, d), threads=threads)
     lam = lambda_level_exact(n, d - 1, "exact-degree")
-    kappa = kappa_constant(kappa_tol)
+    kappa = kappa_constant(_BGL3_KAPPA_TOL)
     constant = math.exp(d) * (2 * d) * kappa**d * 2 ** (d - 1)
     rhs = constant * float(lam)
     return Bgl3Report(
@@ -372,9 +370,9 @@ def bh_functional(f: WalshPolynomial, d: int) -> float:
     """(sum |fhat|^{2d/(d+1)})^{(d+1)/2d} / ||f||_inf, the degree-d ratio."""
     if f.degree() > d:
         raise CubeError(f"polynomial degree {f.degree()} exceeds d={d}")
-    compact, n_act = _compact_masks(f.family)
-    if n_act > 24:
-        raise SizeGuardError(f"{n_act} active coordinates exceed 24")
+    compact, n_act = _compact_masks(f.family.masks)
+    if n_act > MAX_TRANSFORM_DIMENSION:
+        raise SizeGuardError(f"{n_act} active coordinates exceed {MAX_TRANSFORM_DIMENSION}")
     coeffs = np.array([float(c) for c in f.coeffs])
     sup = float(np.max(np.abs(character_sum_table(compact, n_act, coeffs))))
     if sup == 0.0:
@@ -398,9 +396,9 @@ def ksz_signs(family: SupportFamily, trials: int = 100, seed: int = 42) -> KszRe
     |S|); the guarantee is probabilistic, so failure is reported, not raised."""
     if trials < 1:
         raise CubeError("need trials >= 1")
-    compact, n_act = _compact_masks(family)
-    if n_act > 24:
-        raise SizeGuardError(f"{n_act} active coordinates exceed 24")
+    compact, n_act = _compact_masks(family.masks)
+    if n_act > MAX_TRANSFORM_DIMENSION:
+        raise SizeGuardError(f"{n_act} active coordinates exceed {MAX_TRANSFORM_DIMENSION}")
     bound = 6 * math.sqrt(math.log(2)) * math.sqrt(family.n) * math.sqrt(len(family))
     best_signs: np.ndarray | None = None
     best_sup = None

@@ -1,6 +1,8 @@
 """Inequality verification suites: every bound the exact machinery can reach
-is recomputed and compared, with integer left-hand sides wherever the
-quantity is a binomial sum and 1e-12 relative slack where floats appear.
+is recomputed and compared.  Checks that compare integers (Desigforo,
+Kadets-Snobar) compare them exactly; McKay's correction exponent c is
+computed from binomial ratios in floats, and float comparisons get 1e-12
+relative slack.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ _KLIMEK_MAX_CELLS = 1 << 24  # points x trials; 128 MiB per float64 table
 _MCKAY_MAX_N = 4001
 _RANGE_MAX_N = 100  # the range sweep's time grows about as max_n^4.5
 _DESIGFORO_MAX_N = 100_000
+_DESIGFORO_MAX_D = 10
+_SZAREK_GRID = tuple(k / 10 for k in range(501))
 
 
 @dataclass(frozen=True)
@@ -76,13 +80,11 @@ def y_function(x: float) -> float:
     return math.sqrt(math.pi / 2) * float(erfcx(x / math.sqrt(2)))
 
 
-def szarek_y_bounds(grid=None) -> list[BoundsReport]:
-    """2/(x+sqrt(x^2+4)) <= Y(x) <= 4/(3x+sqrt(x^2+8)) over the grid; the two
-    reports carry the worst margin of each side."""
-    if grid is None:
-        grid = [k / 10 for k in range(501)]
+def szarek_y_bounds() -> list[BoundsReport]:
+    """2/(x+sqrt(x^2+4)) <= Y(x) <= 4/(3x+sqrt(x^2+8)) for x = 0, 0.1, ...,
+    50; the two reports carry the worst margin of each side."""
     worst_low = worst_high = None
-    for x in grid:
+    for x in _SZAREK_GRID:
         y = y_function(x)
         low = 2 / (x + math.sqrt(x * x + 4))
         high = 4 / (3 * x + math.sqrt(x * x + 8))
@@ -92,32 +94,28 @@ def szarek_y_bounds(grid=None) -> list[BoundsReport]:
             worst_high = (y - high, x, y, high)
     return [
         _report("szarek-lower", worst_low[2], worst_low[3],
-                x=worst_low[1], grid_points=len(grid)),
+                x=worst_low[1], grid_points=len(_SZAREK_GRID)),
         _report("szarek-upper", worst_high[2], worst_high[3],
-                x=worst_high[1], grid_points=len(grid)),
+                x=worst_high[1], grid_points=len(_SZAREK_GRID)),
     ]
-
-
-def _partial_binomial_sum(n: int, m: int) -> int:
-    """sum_{k=0}^m C(n,k), exact; near-central sums for odd n use the
-    half-total 2^{n-1} minus a short top band."""
-    if m < 0:
-        return 0
-    if m >= n:
-        return 1 << n
-    half = (n - 1) // 2
-    if n % 2 == 1 and half - 16 <= m <= half:
-        total = 1 << (n - 1)
-        for k in range(m + 1, half + 1):
-            total -= math.comb(n, k)
-        return total
-    return sum(math.comb(n, k) for k in range(m + 1))
 
 
 def mckay_constant(n: int, alpha: int) -> BoundsReport:
     """Solve the cumulative-binomial formula for its correction exponent:
-    sum_{k <= (N-a-1)/2} C(N,k) = sqrt(N) C(N-1,(N-a-1)/2) Y((a+1)/sqrt(N))
-    e^{c/sqrt(N)}; the claim is 0 <= c <= sqrt(pi/2)."""
+    sum_{k <= m} C(N,k) = sqrt(N) C(N-1,m) Y((a+1)/sqrt(N)) e^{c/sqrt(N)}
+    with m = (N-a-1)/2; the claim is 0 <= c <= sqrt(pi/2).
+
+    No binomial is formed.  The left side is C(N,m) S, where S = sum_j t_j
+    with t_j = C(N,m-j)/C(N,m), so t_0 = 1 and t_{j+1} = t_j (m-j)/(N-m+j+1);
+    with C(N,m)/C(N-1,m) = N/(N-m),
+
+        c = sqrt(N) [log S + log(N/(N-m)) - log(N)/2 - log Y].
+
+    The ratios r_j = (m-j)/(N-m+j+1) fall with j and, as m <= (N-1)/2, stay
+    below 1, so t_{J+i} <= t_J r_J^i.  The sum stops at j = m, or before the
+    first t_J < 1e-17 S, whose tail is then at most t_J/(1-r_J) <
+    1e-17 S (N-m+J+1)/(N-2m+2J+1).
+    """
     if not 0 <= alpha < n:
         raise CubeError(f"need 0 <= alpha < N, got alpha={alpha}, N={n}")
     if (n - alpha) % 2 == 0:
@@ -125,17 +123,20 @@ def mckay_constant(n: int, alpha: int) -> BoundsReport:
     if n > _MCKAY_MAX_N:
         raise CubeError(f"N={n} exceeds the {_MCKAY_MAX_N} sweep cap")
     m = (n - alpha - 1) // 2
-    lhs = _partial_binomial_sum(n, m)
-    log_rhs_unit = (
-        0.5 * math.log(n)
-        + math.log(math.comb(n - 1, m))
-        + math.log(y_function((alpha + 1) / math.sqrt(n)))
-    )
-    c = math.sqrt(n) * (math.log(lhs) - log_rhs_unit)
+    total, term = 0.0, 1.0
+    for j in range(m + 1):
+        total += term
+        term *= (m - j) / (n - m + j + 1)
+        if term < 1e-17 * total:
+            break
+    log_s = math.log(total)
+    log_y = math.log(y_function((alpha + 1) / math.sqrt(n)))
+    c = math.sqrt(n) * (log_s + math.log(n / (n - m)) - 0.5 * math.log(n) - log_y)
+    log_lhs = log_s + math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
     upper = math.sqrt(math.pi / 2)
     passed = c >= -_REL_SLACK and _le(c, upper)
     return BoundsReport("mckay-c-range", c, upper, passed,
-                        {"N": n, "alpha": alpha, "c": c, "log_lhs": math.log(lhs)})
+                        {"N": n, "alpha": alpha, "c": c, "log_lhs": log_lhs})
 
 
 def check_desigforo(n: int, d: int) -> BoundsReport:
@@ -211,10 +212,10 @@ def mckay_suite(max_n: int = 4001) -> list[BoundsReport]:
     return reports
 
 
-def desigforo_suite(max_n: int = 200, max_d: int = 10) -> list[BoundsReport]:
+def desigforo_suite(max_n: int = 200) -> list[BoundsReport]:
     reports = []
     for n in range(2, max_n + 1):
-        for d in range(1, max_d + 1):
+        for d in range(1, _DESIGFORO_MAX_D + 1):
             if 2 * d - 1 < n:
                 reports.append(check_desigforo(n, d))
     return reports

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from cube_constants import core, projection, sidon
+from cube_constants import core, sidon
 
 
 def oracle_sidon(masks, n) -> float:
@@ -90,7 +90,7 @@ class TestLpMaximize:
         # homog(7,2): the 156 atlas patterns over its 128 x 21 system are
         # degenerate enough that the Bland fallback takes over in some LPs
         fam = core.family_homogeneous(7, 2)
-        compact, n_act = projection._compact_masks(fam)
+        compact, n_act = core._compact_masks(fam.masks)
         unique = sidon._unique_rows_up_to_sign(sidon._sign_rows(compact, n_act))
         A = np.vstack([unique, -unique]).astype(float)
         reps = sidon._atlas_representatives(compact, n_act)

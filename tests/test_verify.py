@@ -1,10 +1,9 @@
 """Bounds suites: range sandwiches, McKay, Desigforo, Klimek, Szarek."""
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cube_constants import core, verify
 
@@ -28,15 +27,6 @@ class TestYFunction:
         assert all(r.passed for r in reports)
 
 
-class TestPartialBinomialSum:
-    @given(st.integers(1, 300), st.data())
-    @settings(max_examples=60)
-    def test_matches_direct_sum(self, n, data):
-        m = data.draw(st.integers(-1, n + 2))
-        want = sum(math.comb(n, k) for k in range(max(m, -1) + 1))
-        assert verify._partial_binomial_sum(n, m) == want
-
-
 class TestMcKay:
     def test_c_in_claimed_interval(self):
         for n in (101, 501, 1001):
@@ -44,6 +34,23 @@ class TestMcKay:
                 rep = verify.mckay_constant(n, alpha)
                 assert rep.passed
                 assert 0 <= rep.context["c"] <= math.sqrt(math.pi / 2)
+
+    def test_matches_exact_ratio(self):
+        # c from the exact integers, divided before the log
+        for n in [*range(1, 200, 2), 1001, 2001, 4001]:
+            # n - 7 .. n - 1 give m = 3 .. 0
+            for alpha in {0, 2, 4, n - 7, n - 5, n - 3, n - 1}:
+                if not 0 <= alpha < n:
+                    continue
+                m = (n - alpha - 1) // 2
+                ratio = Fraction(sum(math.comb(n, k) for k in range(m + 1)),
+                                 math.comb(n - 1, m))
+                y = verify.y_function((alpha + 1) / math.sqrt(n))
+                want = math.sqrt(n) * (math.log(float(ratio)) - 0.5 * math.log(n)
+                                       - math.log(y))
+                rep = verify.mckay_constant(n, alpha)
+                assert abs(rep.lhs - want) <= 1e-12, (n, alpha)
+                assert rep.context["c"] == rep.lhs
 
     def test_parity_guard(self):
         with pytest.raises(core.CubeError):
