@@ -249,11 +249,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sidon(args) -> int:
-    threads = _threads(args)
     family = make_family(parse_family_spec(args.family))
-    result = sidon_exact(
-        family, tol=args.tol, max_orthants=args.max_orthants, threads=threads
-    )
+    result = sidon_exact(family, tol=args.tol, max_orthants=args.max_orthants)
     doc = {
         "value": result.value,
         "witness": list(result.witness.coeffs),
@@ -404,7 +401,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("sidon", parents=[output, threaded],
+    p = sub.add_parser("sidon", parents=[output],
                        help="exact Sidon constant by orthant LPs")
     p.add_argument("--family", required=True)
     p.add_argument("--tol", type=float, default=1e-9)

@@ -23,7 +23,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .core import (
 _WHT_MAX_DIRECT = 22  # 2^22 points per value table: 4 MB at int8, 32 MB at int64
 _BINCOUNT_CHUNK = 1 << 16  # bincount copies its input to int64; keep the copy small
 MAX_LEVEL_N = 100_000
+MAX_PEELED_SETS = 1024  # sets folded in by _fold_signs; see lambda_exact
 _Z95 = 1.96
 
 
@@ -88,20 +90,39 @@ def _peel_private(masks: list[int]) -> tuple[list[int], int]:
     A dropped set's private coordinate lies in no set still remaining, so
     in drop order the sets and their private coordinates form a triangular
     system: the k dropped characters are independent uniform signs, and
-    independent of the core's coordinates.
+    independent of the core's coordinates.  The cascade takes one pass:
+    each coordinate keeps its holder count and the XOR of their indices,
+    which names the last holder.
     """
-    k = 0
-    while True:
-        once = twice = 0
-        for m in masks:
-            twice |= once & m
-            once |= m
-        private = once & ~twice  # coordinates held by exactly one set
-        if not private:
-            return masks, k
-        core = [m for m in masks if not m & private]
-        k += len(masks) - len(core)
-        masks = core
+    once = twice = 0
+    for m in masks:
+        once, twice = once | m, twice | (once & m)
+    if once == twice:
+        return masks, 0
+    count: dict[int, int] = {}
+    last: dict[int, int] = {}
+    coords = []
+    for j, m in enumerate(masks):
+        coords.append([])
+        while m:
+            c = (m & -m).bit_length()
+            coords[j].append(c)
+            count[c] = count.get(c, 0) + 1
+            last[c] = last.get(c, 0) ^ j
+            m &= m - 1
+    todo = [last[c] for c, held in count.items() if held == 1]
+    alive = [True] * len(masks)
+    while todo:
+        j = todo.pop()
+        if alive[j]:
+            alive[j] = False
+            for c in coords[j]:
+                count[c] -= 1
+                last[c] ^= j
+                if count[c] == 1:
+                    todo.append(last[c])
+    core = [m for m, keep in zip(masks, alive) if keep]
+    return core, len(masks) - len(core)
 
 
 def _value_histogram(compact: np.ndarray, n: int, threads: int) -> np.ndarray:
@@ -150,24 +171,28 @@ def _fold_signs(hist: np.ndarray, size: int, k: int) -> int:
 def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
     """E|sum_{S in family} chi_S| as an exact rational.
 
-    Coordinates no set uses are integrated out for free, and the guard
-    applies to the remaining active ones.  Sets that own a coordinate are
-    peeled off, repeatedly (_peel_private); their k characters are
-    independent uniform signs.  The Walsh butterfly then runs over the
-    core's own active coordinates only and yields the histogram count(g) of
-    the core sum g, and the signs are folded in exactly:
+    Coordinates no set uses are integrated out for free.  Sets that own a
+    coordinate are peeled off, repeatedly (_peel_private); their k
+    characters are independent uniform signs.  The Walsh butterfly then
+    runs over the core's own active coordinates only and yields the
+    histogram count(g) of the core sum g, and the signs are folded in
+    exactly:
 
         lambda = 2^-(n_core+k) sum_g count(g) sum_j C(k,j) |g + k - 2j|.
 
     An empty core is Haagerup's case: count(0) = 1.  Past 22 core
     coordinates the cube is summed in blocks on `threads` worker threads.
+
+    The guard counts core coordinates: sqfree(127) keeps 18 of its 31.
+    MAX_PEELED_SETS bounds k, as _fold_signs takes 0.6 s at k = 1024 on
+    2001 histogram values (4.8 s at 4096; one core of an Intel Xeon).
     """
-    n_act = family.active_mask().bit_count()
-    if n_act > MAX_ENUM_DIMENSION:
-        raise SizeGuardError(
-            f"{n_act} active coordinates exceed the enumeration guard {MAX_ENUM_DIMENSION}"
-        )
     core, k = _peel_private(list(family.masks))
+    n_core = reduce(or_, core, 0).bit_count()
+    if n_core > MAX_ENUM_DIMENSION:
+        raise SizeGuardError(f"{n_core} core coordinates exceed the guard {MAX_ENUM_DIMENSION}")
+    if k > MAX_PEELED_SETS:
+        raise SizeGuardError(f"{k} peeled sets exceed the sign-fold cap {MAX_PEELED_SETS}")
     compact, n_core = _compact_masks(core)
     hist = _value_histogram(compact, n_core, threads)
     return Fraction(_fold_signs(hist, len(compact), k), 1 << (n_core + k))

@@ -3,13 +3,15 @@
 sid(B_S^N) is the largest l1-norm of a coefficient vector whose Walsh
 polynomial stays in [-1, 1] on the cube.  Maximizing the l1-norm over that
 polytope means maximizing sigma . a over every sign pattern sigma, each a
-plain LP.  Two symmetries collapse the 2^|S| patterns: translating the cube
-by y multiplies the pattern by (chi_S(y))_S, and negating a flips it
-entirely, so patterns only matter up to a GF(2) coset.  Each remaining LP
-is solved by a dense simplex on its dual, whose tableau has one row per set
-instead of one per cube point; Dantzig pricing with a Bland fallback on
-degenerate runs keeps it short and cycle-free.  The winning witness gets an
-exact rational feasibility certificate.
+plain LP.  Symmetries collapse the 2^|S| patterns: translating the cube
+by y multiplies the pattern by (chi_S(y))_S and negating a flips it
+entirely, so patterns only matter up to a GF(2) coset; a coordinate
+permutation that maps the family onto itself permutes the sets and the
+cosets alike, so one LP per orbit of cosets suffices.  Each LP is solved
+by a dense simplex on its dual, whose tableau has one row per set instead
+of one per cube point; Dantzig pricing with a Bland fallback on degenerate
+runs keeps it short and cycle-free.  The winning witness gets an exact
+rational feasibility certificate.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .core import (
     _compact_masks,
     _prime_array,
     character_sum_table,
+    family_homogeneous,
     philox,
 )
 from .projection import lambda_level_exact
@@ -39,6 +42,7 @@ _LP_MAX_ITER = 20_000
 _DEGENERATE_RUN = 20  # degenerate pivots before Bland's rule takes over
 _MAX_PATTERN_DIM = 16  # active coordinates; constraint rows grow as 2^this
 DEFAULT_MAX_ORTHANTS = 1 << 16
+MAX_COSETS = 1 << 20  # pattern cosets enumerated; one int32 table each is 4 MiB
 _BGL3_KAPPA_TOL = 1e-6
 
 
@@ -155,18 +159,14 @@ class SidonResult:
 
 
 def _sign_rows(compact: np.ndarray, n_act: int) -> np.ndarray:
-    """(chi_S(x))_S for every active-cube point x; int8 matrix 2^n_act x m."""
+    """The distinct rows (chi_S(x))_S over the active cube, up to sign, as
+    floats: each row r stands for the constraint pair |r . a| <= 1."""
     points = np.arange(1 << n_act, dtype=np.uint64)
     rows = np.empty((1 << n_act, len(compact)), dtype=np.int8)
     for j, mask in enumerate(compact):
         parity = (np.bitwise_count(points & mask) & np.uint64(1)).astype(np.int8)
         rows[:, j] = 1 - 2 * parity
-    return rows
-
-
-def _unique_rows_up_to_sign(rows: np.ndarray) -> np.ndarray:
-    flipped = np.where(rows[:, :1] < 0, -rows, rows)
-    return np.unique(flipped, axis=0)
+    return np.unique(np.where(rows[:, :1] < 0, -rows, rows), axis=0).astype(float)
 
 
 def _gf2_basis(compact: np.ndarray, n_act: int, m: int) -> dict[int, int]:
@@ -177,73 +177,59 @@ def _gf2_basis(compact: np.ndarray, n_act: int, m: int) -> dict[int, int]:
     negation).
     """
     pivots: dict[int, int] = {}
-
-    def insert(v: int) -> None:
-        while v:
-            p = v.bit_length() - 1
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                return
-
-    for i in range(n_act):
-        insert(sum(((int(mask) >> i) & 1) << j for j, mask in enumerate(compact)))
-    insert((1 << m) - 1)
+    coordinates = [sum(((int(mask) >> i) & 1) << j for j, mask in enumerate(compact))
+                   for i in range(n_act)]
+    for v in coordinates + [(1 << m) - 1]:
+        while v and (p := v.bit_length() - 1) in pivots:
+            v ^= pivots[p]
+        if v:
+            pivots[p] = v
     return pivots
 
 
-def _coset_representatives(pivots: dict[int, int], m: int, cap: int) -> list[int]:
-    free = [j for j in range(m) if j not in pivots]
-    if len(free) > 40 or (1 << len(free)) > cap:
-        raise SizeGuardError(
-            f"2^{len(free)} orthant classes exceed the cap {cap}"
-        )
-    reps = []
-    for f in range(1 << len(free)):
-        sigma = 0
-        for idx, j in enumerate(free):
-            if (f >> idx) & 1:
-                sigma |= 1 << j
-        reps.append(sigma)
-    return reps
+def _orbit_representatives(compact: np.ndarray, n_act: int) -> tuple[list[int], np.ndarray]:
+    """(free, reps): the smallest coset index in each orbit of cosets.
 
-
-def _atlas_representatives(compact: np.ndarray, n_act: int) -> list[int] | None:
-    """Pattern representatives for a homogeneous degree-2 family seen as a
-    graph on the active coordinates.
-
-    Translation by y switches the graph on a vertex set, and every switching
-    class has a member with the last vertex isolated; those members, up to
-    relabeling (which also preserves the LP value), are exactly the graphs
-    on n_act - 1 vertices.  The atlas lists all of them for <= 7 vertices.
+    Bit k of a coset index is the sign of set free[k], a non-pivot of the
+    echelon basis of the translation-and-negation group H (_gf2_basis).  A
+    permutation of the active coordinates that maps the family onto itself
+    maps H onto itself, so it acts on the cosets, linearly in their index;
+    its table is doubled up from the images of the f unit cosets.  The
+    generators tried are (0 1) and the n-cycle; orbits are merged by
+    min-label propagation with pointer jumping.
     """
-    masks = [int(v) for v in compact]
-    if n_act - 1 > 7 or len(masks) != math.comb(n_act, 2):
-        return None
-    if any(m.bit_count() != 2 for m in masks):
-        return None
+    pivots = _gf2_basis(compact, n_act, len(compact))
+    free = [j for j in range(len(compact)) if j not in pivots]
+    if 1 << len(free) > MAX_COSETS:
+        raise SizeGuardError(f"2^{len(free)} pattern cosets exceed the cap {MAX_COSETS}")
+
+    def coset_index(v: int) -> int:
+        for p in sorted(pivots, reverse=True):
+            if (v >> p) & 1:
+                v ^= pivots[p]
+        return sum(((v >> j) & 1) << k for k, j in enumerate(free))
+
+    masks = compact.tolist()
     index_of = {mask: j for j, mask in enumerate(masks)}
-    reps = []
-    for edges in _atlas_edges()[n_act - 1]:
-        sigma = 0
-        for u, v in edges:
-            sigma |= 1 << index_of[(1 << u) | (1 << v)]
-        reps.append(sigma)
-    return reps
-
-
-@functools.cache
-def _atlas_edges() -> tuple:
-    """Edge tuples of the graph atlas by vertex count 0..7, read once per
-    process: graph_atlas_g() rebuilds its 1253 mutable graphs on every call."""
-    import networkx  # deferred: only the atlas route needs it
-
-    graphs = networkx.graph_atlas_g()[1:]
-    return tuple(
-        tuple(tuple(g.edges()) for g in graphs if g.number_of_nodes() == n)
-        for n in range(8)
-    )
+    perms = {(1, 0, *range(2, n_act)), (*range(1, n_act), 0)} if n_act > 1 else set()
+    tables = []
+    for perm in perms:
+        images = [sum(1 << perm[i] for i in range(n_act) if (mask >> i) & 1) for mask in masks]
+        if index_of.keys() != set(images):
+            continue
+        table = np.zeros(1 << len(free), dtype=np.int32)
+        for k, j in enumerate(free):
+            table[1 << k : 2 << k] = table[: 1 << k] ^ coset_index(1 << index_of[images[j]])
+        tables.append(table)
+    label = np.arange(1 << len(free), dtype=np.int32)
+    while tables:
+        before = label.sum(dtype=np.int64)
+        for table in tables:
+            np.minimum(label, label[table], out=label)
+            label = label[label]
+        if label.sum(dtype=np.int64) == before:
+            break
+    return free, np.flatnonzero(label == np.arange(label.size))
 
 
 def _certify_witness(
@@ -265,19 +251,15 @@ def sidon_exact(
     family: SupportFamily,
     tol: float = _LP_TOL,
     max_orthants: int = DEFAULT_MAX_ORTHANTS,
-    threads: int = 1,
 ) -> SidonResult:
-    """sid(B_S^N): max over sign-pattern classes of an LP over the unit ball.
+    """sid(B_S^N): max over sign-pattern orbits of an LP over the unit ball.
 
-    Guards by work, not by raw N: the active-coordinate count is capped at
-    16, and the number of pattern classes after the coset reduction (plus
-    the graph-switching reduction for degree-2 homogeneous families) must
-    stay under max_orthants.
-
-    The orthant LPs run serially whatever `threads` says: each is a few
-    dozen small numpy pivots that hold the GIL, so a thread pool only adds
-    contention (homog(6,3) ran about twice as slow with four threads).  The
-    parameter stays so callers that size their worker count keep working.
+    Guards by work, not by raw N: at most 16 active coordinates, MAX_COSETS
+    enumerated pattern cosets and max_orthants orbits, one LP each.  An
+    orbit shares one LP value: translating the cube, negating, and
+    relabelling coordinates within the family's symmetries each map a
+    feasible polynomial to one of the same l1-norm.  The LPs run in
+    ascending coset index and the first best one gives the witness.
     """
     if not tol >= 0:
         raise CubeError(f"tol must be >= 0, got {tol}")
@@ -287,19 +269,16 @@ def sidon_exact(
     m = len(compact)
     if n_act > _MAX_PATTERN_DIM:
         raise SizeGuardError(f"{n_act} active coordinates exceed {_MAX_PATTERN_DIM}")
-    rows = _sign_rows(compact, n_act)
-    unique = _unique_rows_up_to_sign(rows).astype(float)
-    A = np.vstack([unique, -unique])
-    reps = _atlas_representatives(compact, n_act)
-    if reps is None:
-        pivots = _gf2_basis(compact, n_act, m)
-        reps = _coset_representatives(pivots, m, max_orthants)
+    free, reps = _orbit_representatives(compact, n_act)
     if len(reps) > max_orthants:
-        raise SizeGuardError(f"{len(reps)} orthant classes exceed the cap {max_orthants}")
+        raise SizeGuardError(f"{len(reps)} orthant orbits exceed the cap {max_orthants}")
+    unique = _sign_rows(compact, n_act)
+    A = np.vstack([unique, -unique])
 
     best_value, best_a = -math.inf, None
-    for sigma in reps:
-        c = np.array([(-1.0 if (sigma >> j) & 1 else 1.0) for j in range(m)])
+    for r in reps.tolist():
+        c = np.ones(m)
+        c[[j for k, j in enumerate(free) if (r >> k) & 1]] = -1.0
         value, a = lp_maximize(c, A, tol=tol)
         if value > best_value:
             best_value, best_a = value, a
@@ -342,14 +321,12 @@ class Bgl3Report:
     orthants_solved: int
 
 
-def check_sidon_projection_bound(n: int, d: int, threads: int = 1) -> Bgl3Report:
+def check_sidon_projection_bound(n: int, d: int) -> Bgl3Report:
     """sid of the degree-d family against e^d (2d) kappa^d 2^{d-1} times the
     projection constant one degree down."""
     if not 2 <= d <= n:
         raise CubeError(f"need 2 <= d <= N, got d={d}, N={n}")
-    from .core import family_homogeneous
-
-    sid = sidon_exact(family_homogeneous(n, d), threads=threads)
+    sid = sidon_exact(family_homogeneous(n, d))
     lam = lambda_level_exact(n, d - 1, "exact-degree")
     kappa = kappa_constant(_BGL3_KAPPA_TOL)
     constant = math.exp(d) * (2 * d) * kappa**d * 2 ** (d - 1)

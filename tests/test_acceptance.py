@@ -188,7 +188,7 @@ def test_criterion_09_sidon_constants():
     bgl3_ok = True
     for d, n_top in ((2, 8), (3, 6)):
         for n in range(d, n_top + 1):
-            if not cc.check_sidon_projection_bound(n, d, threads=4).passed:
+            if not cc.check_sidon_projection_bound(n, d).passed:
                 bgl3_ok = False
     elapsed = time.time() - t0
     ok = (gap_full <= 1e-8 and gap_homog <= 1e-8 and worst_oracle <= 1e-6

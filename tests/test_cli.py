@@ -73,6 +73,12 @@ class TestExact:
         assert code == 2
         assert err
 
+    def test_guard_counts_core_coordinates(self, capsys):
+        # sqfree:127 has 31 primes, but only the 18 up to 63 stay in the core
+        code, out, _ = run_cli(capsys, "exact", "--family", "sqfree:127")
+        assert code == 0
+        assert json.loads(out)["method"] == "exact"
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -214,7 +220,7 @@ _ARGVS = st.one_of(
     _cmd("table", _FORMAT),
     # Sidon LPs grow fastest, so their families stay at N <= 4
     _cmd("sidon", _families(["-1", "0", "1", "2", "3", "4", _HUGE]), _opt("--tol", _TOLS),
-         _opt("--max-orthants", ["-1", "0", "1", "16"]), _THREADED, _FORMAT),
+         _opt("--max-orthants", ["-1", "0", "1", "16"]), _FORMAT),
     _cmd("kappa", _opt("--tol", _TOLS), _FORMAT),
     _cmd("verify",
          _flag("--suite", ["range", "mckay", "desigforo", "klimek", "combinatorics",
@@ -315,6 +321,11 @@ class TestSidonCommand:
         code, _, err = run_cli(capsys, "sidon", "--family", "homog:12:2")
         assert code == 2
 
+    def test_takes_no_threads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sidon", "--family", "upto:2:2", "--threads", "2"])
+        assert exc.value.code == 64
+
 
 class TestKappaCommand:
     def test_value(self, capsys):
@@ -386,18 +397,21 @@ class TestPrimesCommand:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is for the McKay/Szarek Y function only and networkx for the
-    # Sidon graph atlas only; each is imported when its route runs
+    # scipy is for the McKay/Szarek Y function only and is imported when
+    # that route runs; the Sidon symmetry reduction needs no graph library
     src = os.path.dirname(os.path.dirname(cube_constants.__file__))
-    code = (
-        "import sys, cube_constants.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('scipy', 'networkx')))"
-    )
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for setup in ("import cube_constants.cli",
+                  "import cube_constants as cc; "
+                  "cc.sidon_exact(cc.family_homogeneous(5, 2))"):
+        code = (
+            f"import sys; {setup}; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'networkx')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", setup
 
 
 class TestDeterminismAndOut:

@@ -153,14 +153,29 @@ class TestLambdaExact:
         assert projection.lambda_exact(fam, threads=3) == want
 
     def test_enumeration_guard(self):
-        fam = core.family_explicit(35, [[i] for i in range(1, 33)])
-        with pytest.raises(core.SizeGuardError):
+        # homog(31,2) keeps all 31 coordinates in its core; five singletons
+        # on further coordinates peel off and do not count
+        sets = [[i, j] for i in range(1, 32) for j in range(i + 1, 32)]
+        fam = core.family_explicit(36, sets + [[i] for i in range(32, 37)])
+        with pytest.raises(core.SizeGuardError, match="31 core coordinates"):
             projection.lambda_exact(fam)
 
     def test_enumeration_guard_one_past_limit(self):
-        # 31 active coordinates against the guard of 30: refused before any work
-        fam = core.family_explicit(31, [[i] for i in range(1, 32)])
-        with pytest.raises(core.SizeGuardError):
+        # a core of 31 coordinates against the guard of 30
+        with pytest.raises(core.SizeGuardError, match="31 core coordinates"):
+            projection.lambda_exact(core.family_homogeneous(31, 2))
+
+    def test_guard_counts_core_not_active_coordinates(self):
+        # 31 prime singletons: 31 active coordinates, an empty core
+        fam = core.family_prime_singletons(127)
+        assert projection.lambda_exact(fam) == projection.lambda_level_exact(31, 1)
+
+    def test_peel_count_guard(self):
+        cap = projection.MAX_PEELED_SETS
+        fam = core.family_explicit(cap, [[i] for i in range(1, cap + 1)])
+        assert projection.lambda_exact(fam) == projection.lambda_level_exact(cap, 1)
+        fam = core.family_explicit(cap + 1, [[i] for i in range(1, cap + 2)])
+        with pytest.raises(core.SizeGuardError, match="sign-fold cap"):
             projection.lambda_exact(fam)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,93 @@ def oracle_sidon(masks, n) -> float:
         if res.status == 0:
             best = max(best, -res.fun)
     return best
+
+
+def coset_names(masks, n) -> np.ndarray:
+    """name[sigma]: the smallest pattern in the coset of sigma, found by
+    trying every translation of the n-cube and the negation."""
+    m = len(masks)
+    patterns = np.arange(1 << m, dtype=np.int64)
+    names = patterns.copy()
+    for y in range(1 << n):
+        t = sum(((mask & y).bit_count() & 1) << j for j, mask in enumerate(masks))
+        for h in (t, t ^ ((1 << m) - 1)):
+            np.minimum(names, patterns ^ h, out=names)
+    return names
+
+
+def brute_force_orbits(fam, perms=None) -> int:
+    """Pattern cosets up to the given coordinate permutations (all n! by
+    default), each orbit named by the smallest coset name over its images."""
+    compact, n = core._compact_masks(fam.masks)
+    masks = compact.tolist()
+    names = coset_names(masks, n)
+    cosets = np.unique(names)
+    index_of = {mask: j for j, mask in enumerate(masks)}
+    best = cosets.copy()
+    for perm in perms or itertools.permutations(range(n)):
+        moved = np.zeros_like(cosets)
+        for j, mask in enumerate(masks):
+            image = sum(1 << perm[i] for i in range(n) if (mask >> i) & 1)
+            moved |= ((cosets >> j) & 1) << index_of[image]
+        np.minimum(best, names[moved], out=best)
+    return len(np.unique(best))
+
+
+def all_cosets_sidon(fam):
+    """(value, witness, LPs) of the plain coset enumeration: every coset in
+    ascending index, the first best LP kept."""
+    compact, n_act = core._compact_masks(fam.masks)
+    m = len(compact)
+    pivots = sidon._gf2_basis(compact, n_act, m)
+    free = [j for j in range(m) if j not in pivots]
+    unique = sidon._sign_rows(compact, n_act)
+    A = np.vstack([unique, -unique])
+    best_value, best_a = -math.inf, None
+    for r in range(1 << len(free)):
+        c = np.ones(m)
+        c[[j for k, j in enumerate(free) if (r >> k) & 1]] = -1.0
+        value, a = sidon.lp_maximize(c, A)
+        if value > best_value:
+            best_value, best_a = value, a
+    return best_value, tuple(float(v) for v in best_a), 1 << len(free)
+
+
+def highs_all_cosets(fam) -> float:
+    """Independent reference: HiGHS on one pattern of every coset."""
+    compact, n = core._compact_masks(fam.masks)
+    masks = compact.tolist()
+    m = len(masks)
+    rows = np.array([[-1.0 if (S & x).bit_count() & 1 else 1.0 for S in masks]
+                     for x in range(1 << n)])
+    A = np.vstack([rows, -rows])
+    best = 0.0
+    for sigma in np.unique(coset_names(masks, n)).tolist():
+        c = np.array([-1.0 if (sigma >> j) & 1 else 1.0 for j in range(m)])
+        res = linprog(-c, A_ub=A, b_ub=np.ones(len(A)),
+                      bounds=[(None, None)] * m, method="highs")
+        assert res.status == 0
+        best = max(best, -res.fun)
+    return best
+
+
+# 1-based sets of the 5-cycle and of the 5-cycle with its consecutive
+# triples: a rotation maps each onto itself, the transposition (1 2) not
+C5 = [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]
+C5_TRIPLES = C5 + [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5], [1, 2, 5]]
+
+
+class _CountingRun(int):
+    """Stand-in for sidon._DEGENERATE_RUN that counts how often the simplex
+    takes the Bland branch (`degenerate_run < _DEGENERATE_RUN` is false)."""
+
+    fallbacks = 0
+
+    def __gt__(self, run):
+        below = int(self) > run
+        if not below:
+            self.fallbacks += 1
+        return below
 
 
 class TestLpMaximize:
@@ -86,23 +174,27 @@ class TestLpMaximize:
         assert abs(value - (-res.fun)) <= 1e-7
         assert np.all(A @ a <= 1 + 1e-7)
 
-    def test_against_scipy_on_degenerate_sidon_system(self):
-        # homog(7,2): the 156 atlas patterns over its 128 x 21 system are
+    def test_against_scipy_on_degenerate_sidon_system(self, monkeypatch):
+        # homog(7,2): the 27 orbit patterns over its 128 x 21 system are
         # degenerate enough that the Bland fallback takes over in some LPs
         fam = core.family_homogeneous(7, 2)
         compact, n_act = core._compact_masks(fam.masks)
-        unique = sidon._unique_rows_up_to_sign(sidon._sign_rows(compact, n_act))
-        A = np.vstack([unique, -unique]).astype(float)
-        reps = sidon._atlas_representatives(compact, n_act)
-        assert len(reps) == 156
-        for sigma in reps:
-            c = np.array([-1.0 if (sigma >> j) & 1 else 1.0 for j in range(21)])
+        unique = sidon._sign_rows(compact, n_act)
+        A = np.vstack([unique, -unique])
+        free, reps = sidon._orbit_representatives(compact, n_act)
+        assert len(reps) == 27
+        run = _CountingRun(sidon._DEGENERATE_RUN)
+        monkeypatch.setattr(sidon, "_DEGENERATE_RUN", run)
+        for r in reps:
+            c = np.ones(21)
+            c[[j for k, j in enumerate(free) if r >> k & 1]] = -1.0
             value, a = sidon.lp_maximize(c, A)
             res = linprog(-c, A_ub=A, b_ub=np.ones(len(A)),
                           bounds=[(None, None)] * 21, method="highs")
             assert res.status == 0
             assert abs(value - (-res.fun)) <= 1e-7
             assert np.all(A @ a <= 1 + 1e-7)
+        assert run.fallbacks > 0
 
 
 class TestSidonExact:
@@ -150,33 +242,91 @@ class TestSidonExact:
         want = oracle_sidon(fam.masks, n)
         assert abs(got - want) <= 1e-6
 
-    def test_atlas_and_coset_routes_agree(self, monkeypatch):
+    @pytest.mark.parametrize("fam, orbits", [
+        (core.family_homogeneous(5, 2), 4),
+        (core.family_homogeneous(6, 2), 10),
+        (core.family_homogeneous(7, 2), 27),
+        (core.family_homogeneous(8, 2), 131),
+        (core.family_homogeneous(5, 3), 4),
+        (core.family_homogeneous(6, 3), 66),
+        (core.family_homogeneous(6, 4), 10),
+        (core.family_upto(4, 2), 11),
+        (core.family_upto(5, 2), 34),
+    ], ids=lambda v: f"{v.kind}({v.n},{v.d})" if isinstance(v, core.SupportFamily) else str(v))
+    def test_orbit_counts(self, fam, orbits):
+        compact, n_act = core._compact_masks(fam.masks)
+        _, reps = sidon._orbit_representatives(compact, n_act)
+        assert len(reps) == orbits
+        if fam.n <= 6:
+            assert brute_force_orbits(fam) == orbits
+        if fam.n <= 7:
+            assert sidon.sidon_exact(fam).orthants_solved == orbits
+
+    @pytest.mark.parametrize("fam", [
+        core.family_homogeneous(4, 2), core.family_homogeneous(5, 2),
+        core.family_homogeneous(6, 2), core.family_upto(3, 2),
+        core.family_upto(4, 2), core.family_homogeneous(5, 3),
+    ], ids=lambda f: f"{f.kind}({f.n},{f.d})")
+    def test_orbits_match_highs_over_all_cosets(self, fam):
+        assert abs(sidon.sidon_exact(fam).value - highs_all_cosets(fam)) <= 1e-7
+
+    def test_orbits_and_all_cosets_agree(self):
         for n in (5, 6):
             fam = core.family_homogeneous(n, 2)
-            fast = sidon.sidon_exact(fam)
-            monkeypatch.setattr(
-                sidon, "_atlas_representatives", lambda compact, n_act: None
-            )
-            slow = sidon.sidon_exact(fam)
-            assert abs(fast.value - slow.value) <= 1e-8
-            assert fast.orthants_solved < slow.orthants_solved
-            monkeypatch.undo()
+            res = sidon.sidon_exact(fam)
+            value, _, lps = all_cosets_sidon(fam)
+            assert abs(res.value - value) <= 1e-8
+            assert res.orthants_solved < lps
+
+    def test_cycle_family_keeps_only_the_rotation(self):
+        rotations = [tuple((i + s) % 5 for i in range(5)) for s in range(5)]
+        for sets in (C5, C5_TRIPLES):
+            fam = core.family_explicit(5, sets)
+            compact, n_act = core._compact_masks(fam.masks)
+            _, reps = sidon._orbit_representatives(compact, n_act)
+            assert len(reps) == brute_force_orbits(fam, rotations)
+            assert abs(sidon.sidon_exact(fam).value - highs_all_cosets(fam)) <= 1e-7
+        assert len(reps) == 4 < all_cosets_sidon(fam)[2] == 16
+
+    def test_family_without_symmetry_solves_every_coset(self):
+        fam = core.family_explicit(
+            5, [[1], [2], [1, 2], [3], [1, 3], [2, 3, 4], [4, 5], [1, 5], [2, 4, 5]]
+        )
+        res = sidon.sidon_exact(fam)
+        value, witness, lps = all_cosets_sidon(fam)
+        assert lps == 8
+        assert (res.value, res.witness.coeffs, res.orthants_solved) == (value, witness, lps)
 
     def test_orthant_cap(self):
+        # homog(6,3) has 66 orbits
         fam = core.family_homogeneous(6, 3)
         with pytest.raises(core.SizeGuardError):
-            sidon.sidon_exact(fam, max_orthants=100)
+            sidon.sidon_exact(fam, max_orthants=50)
+        assert sidon.sidon_exact(fam, max_orthants=66).orthants_solved == 66
+
+    def test_coset_cap_refuses_before_allocating(self):
+        # homog(9,2): 36 sets, pattern rank 9, so 2^27 cosets
+        fam = core.family_homogeneous(9, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(core.SizeGuardError, match=r"2\^27 pattern cosets"):
+                sidon.sidon_exact(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_active_dimension_guard(self):
         fam = core.family_explicit(20, [[i] for i in range(1, 18)])
         with pytest.raises(core.SizeGuardError):
             sidon.sidon_exact(fam)
 
-    def test_thread_determinism(self):
+    def test_rerun_determinism(self):
         fam = core.family_homogeneous(5, 2)
-        a = sidon.sidon_exact(fam, threads=1)
-        b = sidon.sidon_exact(fam, threads=4)
-        assert a.value == b.value
+        a = sidon.sidon_exact(fam)
+        b = sidon.sidon_exact(fam)
+        assert (a.value, a.witness.coeffs, a.orthants_solved) == (
+            b.value, b.witness.coeffs, b.orthants_solved)
 
 
 class TestKappa:
