@@ -3,37 +3,28 @@ projection constants, Sidon constants, and their Hermite-moment limits."""
 
 from .combinatorics import (
     BecknerFit,
-    MultiIndex,
     PowerIdentityReport,
     beckner_coefficients,
     c_coefficient,
     c_coefficient_bounds,
-    class_size,
     level_sum_at,
     verify_power_identity,
 )
 from .core import (
     CubeError,
-    CubePoint,
-    DimensionMismatch,
     FamilySpecError,
     SizeGuardError,
     SubsetMask,
     SupportFamily,
     WalshPolynomial,
-    character_eval,
-    evaluate,
     family_explicit,
     family_full,
     family_homogeneous,
     family_prime_singletons,
     family_squarefree,
     family_upto,
-    gray_iterate,
-    inverse_walsh_transform,
     make_family,
     primes_upto,
-    walsh_transform,
 )
 from .hermite import (
     RationalPolynomial,

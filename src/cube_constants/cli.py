@@ -52,20 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    """--threads, else CUBE_CONSTANTS_THREADS, else the CPU count; a count
-    below 1 from either source is refused."""
-    source, value = "--threads", args.threads
-    if value is None:
-        source, env = "CUBE_CONSTANTS_THREADS", os.environ.get("CUBE_CONSTANTS_THREADS")
-        if env is None:
-            return os.cpu_count() or 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise CubeError(f"{source} must be an integer, got {env!r}")
-    if value < 1:
-        raise CubeError(f"{source} must be >= 1, got {value}")
-    return value
+    """--threads, else the CPU count; a count below 1 is refused."""
+    if args.threads is None:
+        return os.cpu_count() or 1
+    if args.threads < 1:
+        raise CubeError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def parse_family_spec(text: str) -> dict:
@@ -367,7 +359,7 @@ def build_parser() -> _Parser:
     threaded = _Parser(add_help=False)
     threaded.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: CUBE_CONSTANTS_THREADS or cpu count)",
+        help="worker threads (default: cpu count)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -1,11 +1,12 @@
-"""Multi-index bookkeeping behind the degree-d power identity.
+"""The degree-d power identity and its coefficients.
 
 The sum of all degree-d Walsh characters rewrites as a polynomial in the
 coordinate sum: d! * sum_{|S|=d} x^S = (sum x_i)^d - sum_k C_{d,k,N} *
 (that same character sum at degree d-2k).  The integer coefficients
 C_{d,k,N} count even multi-indices of order 2k merged into a fixed
-square-free one, and are what this module computes, checks, and expands in
-a Hermite basis.
+square-free one.  This module computes them from a generating series,
+checks the identity at every cube point, gives the level sums, and expands
+them in a Hermite basis.
 """
 
 from __future__ import annotations
@@ -13,49 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .core import CubeError, SizeGuardError, character_sum_table
 from .hermite import hermite_poly
 
-MAX_CLASS_ORDER = 20
 MAX_C_DEGREE = 10
 _BECKNER_RESIDUAL_CAP = 1e-8
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """alpha in N_0^N with |alpha| = sum of entries."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.entries):
-            raise CubeError("multi-index entries must be nonnegative")
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    def order(self) -> int:
-        return sum(self.entries)
-
-    def is_tetrahedral(self) -> bool:
-        return all(e <= 1 for e in self.entries)
-
-    def is_even(self) -> bool:
-        return all(e % 2 == 0 for e in self.entries)
-
-
-def class_size(alpha: MultiIndex | Sequence[int]) -> int:
-    """Number of index tuples j in [N]^d with multiplicity pattern alpha: d!/alpha!."""
-    entries = alpha.entries if isinstance(alpha, MultiIndex) else tuple(alpha)
-    d = sum(entries)
-    if d > MAX_CLASS_ORDER:
-        raise SizeGuardError(f"multi-index order {d} exceeds {MAX_CLASS_ORDER}")
-    size = math.factorial(d)
-    for e in entries:
-        size //= math.factorial(e)
-    return size
 
 
 def _series_pow(series: list[Fraction], exponent: int, order: int) -> list[Fraction]:

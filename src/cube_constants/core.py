@@ -1,11 +1,12 @@
-"""Boolean cube {-1,+1}^N: points, characters, Walsh transform, support families.
+"""Boolean cube {-1,+1}^N: support families, the Walsh butterfly and
+character-sum tables, seeded streams and the prime sieve.
 
 Encoding convention used everywhere in this package: an N-bit integer stands
 for a cube point, with bit i set meaning coordinate x_{i+1} = -1 (clear bit
 means +1).  A subset S of [N] is the mask with bit i set for i+1 in S.  With
 this convention the Walsh character is one AND plus a popcount:
 
-    chi_S(x) = prod_{k in S} x_k = (-1)^popcount(S.bits & x.bits)
+    chi_S(x) = prod_{k in S} x_k = (-1)^popcount(S & x)
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class CubeError(Exception):
     """Base class for domain errors raised by this package."""
 
 
-class DimensionMismatch(CubeError):
-    pass
-
-
 class SizeGuardError(CubeError):
     """Requested computation exceeds a hard size guard."""
 
@@ -64,28 +61,6 @@ def _check_dimension(n: int, cap: int = MAX_DIMENSION) -> None:
 
 
 @dataclass(frozen=True)
-class CubePoint:
-    """A point of {-1,+1}^n, stored as the mask of its -1 coordinates."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.n, MAX_FAMILY_DIMENSION)
-        if self.bits < 0 or self.bits >> self.n:
-            raise CubeError(f"point mask {self.bits:#x} does not fit dimension {self.n}")
-
-    def coordinate(self, k: int) -> int:
-        """x_k for 1-based k."""
-        if not 1 <= k <= self.n:
-            raise CubeError(f"coordinate {k} out of range [1, {self.n}]")
-        return -1 if (self.bits >> (k - 1)) & 1 else 1
-
-    def coordinates(self) -> tuple[int, ...]:
-        return tuple(self.coordinate(k) for k in range(1, self.n + 1))
-
-
-@dataclass(frozen=True)
 class SubsetMask:
     """A subset S of [n] as a bit mask (bit i set iff i+1 in S)."""
 
@@ -96,9 +71,6 @@ class SubsetMask:
         _check_dimension(self.n, MAX_FAMILY_DIMENSION)
         if self.bits < 0 or self.bits >> self.n:
             raise CubeError(f"subset mask {self.bits:#x} does not fit dimension {self.n}")
-
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
 
     def elements(self) -> tuple[int, ...]:
         """1-based, increasing."""
@@ -116,13 +88,6 @@ class SubsetMask:
                 raise FamilySpecError(f"duplicate element {e} in subset")
             bits |= 1 << (e - 1)
         return SubsetMask(bits, n)
-
-
-def character_eval(S: SubsetMask, x: CubePoint) -> int:
-    """chi_S(x) = x^S in {-1, +1}."""
-    if S.n != x.n:
-        raise DimensionMismatch(f"subset dimension {S.n} != point dimension {x.n}")
-    return -1 if (S.bits & x.bits).bit_count() & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -177,20 +142,6 @@ class SupportFamily:
         if self.kind == "explicit":
             doc["sets"] = [list(SubsetMask(m, self.n).elements()) for m in self.masks]
         return doc
-
-    def permuted(self, perm: Sequence[int]) -> "SupportFamily":
-        """Relabel coordinates; perm maps 1-based old index -> new index."""
-        if sorted(perm) != list(range(1, self.n + 1)):
-            raise FamilySpecError("perm must be a permutation of 1..n")
-        new_masks = []
-        for m in self.masks:
-            nm = 0
-            for i in range(self.n):
-                if (m >> i) & 1:
-                    nm |= 1 << (perm[i] - 1)
-            new_masks.append(nm)
-        return SupportFamily(self.n, tuple(sorted(new_masks)), "explicit")
-
 
 def family_explicit(n: int, sets: Iterable[Iterable[int]]) -> SupportFamily:
     _check_dimension(n, MAX_FAMILY_DIMENSION)
@@ -340,39 +291,13 @@ class WalshPolynomial:
         return deg
 
 
-def evaluate(f: WalshPolynomial, x: CubePoint) -> Scalar:
-    if f.family.n != x.n:
-        raise DimensionMismatch(f"polynomial dimension {f.family.n} != point {x.n}")
-    total: Scalar = 0
-    for m, c in zip(f.family.masks, f.coeffs):
-        if (m & x.bits).bit_count() & 1:
-            total -= c
-        else:
-            total += c
-    return total
-
-
-def _butterfly(values: list) -> list:
-    """In-place unnormalized transform: out[S] = sum_x in[x] * chi_S(x)."""
-    w = list(values)
-    n = len(w)
-    step = 1
-    while step < n:
-        for i in range(0, n, 2 * step):
-            for j in range(i, i + step):
-                a, b = w[j], w[j + step]
-                w[j] = a + b
-                w[j + step] = a - b
-        step <<= 1
-    return w
-
-
 def walsh_butterfly_inplace(w: np.ndarray) -> np.ndarray:
     """Unnormalized transform down axis 0, in place: w[S] <- sum_x w[x] chi_S(x).
 
     Axis 0 has power-of-two length; trailing axes are independent columns.
-    Integer input stays exact while the sums fit its dtype.  The numpy
-    counterpart of _butterfly, with the same a+b, a-b order.  Returns w.
+    Integer input stays exact while the sums fit its dtype.  Each stage maps
+    a pair (a, b) to (a+b, a-b), so float sums run in a fixed order.
+    Returns w.
     """
     if not w.flags.c_contiguous:
         raise CubeError("in-place butterfly needs a C-contiguous array")
@@ -431,59 +356,6 @@ def character_sum_table(masks: np.ndarray, n: int, coeffs: np.ndarray | None = N
     table = np.zeros(1 << n, dtype=dtype)
     np.add.at(table, masks.astype(np.int64), 1 if coeffs is None else coeffs)
     return walsh_butterfly_inplace(table)
-
-
-def _check_transform_length(values: Sequence) -> int:
-    size = len(values)
-    if size == 0 or size & (size - 1):
-        raise CubeError(f"transform length {size} is not a power of two")
-    n = size.bit_length() - 1
-    if n > MAX_TRANSFORM_DIMENSION:
-        raise SizeGuardError(f"transform dimension {n} exceeds {MAX_TRANSFORM_DIMENSION}")
-    return n
-
-
-def walsh_transform(values: Sequence[Scalar]) -> list[Scalar]:
-    """Fourier-Walsh coefficients fhat(S) = 2^-N sum_x f(x) chi_S(x).
-
-    Input is the value table indexed by point mask; output is indexed by
-    subset mask.  Exact on Fraction/int input (the 2^-N division stays
-    rational); N*2^N additions.
-    """
-    n = _check_transform_length(values)
-    w = _butterfly(list(values))
-    scale = Fraction(1, 1 << n)
-    out: list[Scalar] = []
-    for v in w:
-        if isinstance(v, float):
-            out.append(v / (1 << n))
-        else:
-            sv = v * scale
-            out.append(int(sv) if sv.denominator == 1 else sv)
-    return out
-
-
-def inverse_walsh_transform(coeffs: Sequence[Scalar]) -> list[Scalar]:
-    """Value table f(x) = sum_S fhat(S) chi_S(x); exact inverse of walsh_transform."""
-    _check_transform_length(coeffs)
-    return _butterfly(list(coeffs))
-
-
-def gray_iterate(n: int) -> Iterator[tuple[CubePoint, int | None]]:
-    """Visit all 2^n points, one coordinate flip at a time.
-
-    Yields (point, flipped) where flipped is the 1-based coordinate that
-    changed from the previous point, None for the first point (all +1).
-    Gray order: point t has mask t ^ (t >> 1).
-    """
-    _check_dimension(n, MAX_ENUM_DIMENSION)
-    last = 0
-    yield CubePoint(0, n), None
-    for t in range(1, 1 << n):
-        g = t ^ (t >> 1)
-        flipped = (g ^ last).bit_length()  # exactly one bit differs
-        last = g
-        yield CubePoint(g, n), flipped
 
 
 def philox(seed: int, stream: int) -> np.random.Philox:

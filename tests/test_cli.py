@@ -434,16 +434,3 @@ class TestDeterminismAndOut:
         capsys.readouterr()
         assert code == code2 == 0
         assert path.read_text() == out
-
-    def test_env_threads_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("CUBE_CONSTANTS_THREADS", "soon")
-        code, _, err = run_cli(capsys, "mc", "--family", "homog:5:2",
-                               "--samples", "1000")
-        assert code == 2
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_env_threads_must_be_positive(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("CUBE_CONSTANTS_THREADS", value)
-        code, _, err = run_cli(capsys, "exact", "--family", "sqfree:10")
-        assert code == 2
-        assert err.strip() == f"cube-constants: CUBE_CONSTANTS_THREADS must be >= 1, got {value}"

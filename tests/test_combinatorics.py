@@ -1,4 +1,4 @@
-"""Multi-index classes, C coefficients, the power identity, and Beckner fits."""
+"""C coefficients, the power identity, level sums, and Beckner fits."""
 
 import itertools
 import math
@@ -52,29 +52,6 @@ def c_coefficient_enum(d: int, k: int, n: int, support=None) -> int:
                 gamma_fact *= fact[2 * b + (i in base)]
         total += fact[d] // gamma_fact
     return total
-
-
-class TestClassSize:
-    def test_hand_values(self):
-        mi = combinatorics.MultiIndex((1, 1, 0, 2))
-        assert mi.order() == 4
-        assert not mi.is_tetrahedral()
-        assert combinatorics.class_size(mi) == math.factorial(4) // 2
-
-    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6))
-    def test_matches_multinomial(self, entries):
-        mi = combinatorics.MultiIndex(tuple(entries))
-        if mi.order() > combinatorics.MAX_CLASS_ORDER:
-            with pytest.raises(CubeError):
-                combinatorics.class_size(mi)
-            return
-        denom = math.prod(math.factorial(e) for e in entries)
-        assert combinatorics.class_size(mi) == math.factorial(mi.order()) // denom
-
-    def test_tetrahedral_size_is_factorial(self):
-        mi = combinatorics.MultiIndex((1, 0, 1, 1))
-        assert mi.is_tetrahedral()
-        assert combinatorics.class_size(mi) == 6
 
 
 class TestCCoefficient:

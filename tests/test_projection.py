@@ -73,6 +73,17 @@ def _abs_sum_gray(compact: np.ndarray, n_act: int) -> int:
     return total
 
 
+def fold_signs_by_terms(hist: np.ndarray, size: int, k: int) -> int:
+    """sum_g count(g) sum_j C(k,j) |g + k - 2j| term by term: the oracle for
+    the closed form of projection._fold_signs."""
+    weights = [math.comb(k, j) for j in range(k + 1)]
+    total = 0
+    for index, count in enumerate(hist.tolist()):
+        shift = index - size + k
+        total += count * sum(w * abs(shift - 2 * j) for j, w in enumerate(weights))
+    return total
+
+
 def gray_lambda(fam: core.SupportFamily) -> Fraction:
     compact, n_act = core._compact_masks(fam.masks)
     return Fraction(_abs_sum_gray(compact, n_act), 1 << n_act)
@@ -169,6 +180,15 @@ class TestLambdaExact:
         # 31 prime singletons: 31 active coordinates, an empty core
         fam = core.family_prime_singletons(127)
         assert projection.lambda_exact(fam) == projection.lambda_level_exact(31, 1)
+
+    @given(st.integers(0, 40), st.integers(0, 60), st.data())
+    @settings(max_examples=200)
+    def test_fold_closed_form_matches_terms(self, size, k, data):
+        # values g + k fall below 0 when size > k and above 2k when g > k
+        hist = np.array(data.draw(st.lists(
+            st.integers(0, 10**6), min_size=2 * size + 1, max_size=2 * size + 1
+        )), dtype=np.int64)
+        assert projection._fold_signs(hist, size, k) == fold_signs_by_terms(hist, size, k)
 
     def test_peel_count_guard(self):
         cap = projection.MAX_PEELED_SETS

@@ -219,8 +219,8 @@ class TestSidonExact:
         assert abs(sum(abs(c) for c in coeffs) - res.value) <= 1e-6
         sup = max(
             abs(sum(
-                c * core.character_eval(S, core.CubePoint(x, fam.n))
-                for c, S in zip(coeffs, fam.sets)
+                c * (-1) ** (S & x).bit_count()
+                for c, S in zip(coeffs, fam.masks)
             ))
             for x in range(1 << fam.n)
         )
