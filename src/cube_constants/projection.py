@@ -47,7 +47,7 @@ from .core import (
 _WHT_MAX_DIRECT = 22  # 2^22 points per value table: 4 MB at int8, 32 MB at int64
 _BINCOUNT_CHUNK = 1 << 16  # bincount copies its input to int64; keep the copy small
 MAX_LEVEL_N = 100_000
-MAX_PEELED_SETS = 1024  # sets folded in by _fold_signs; see lambda_exact
+MAX_PEELED_SETS = 10_000  # independent signs in an exact sum; see lambda_exact
 _Z95 = 1.96
 
 
@@ -198,8 +198,8 @@ def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
     coordinates the cube is summed in blocks on `threads` worker threads.
 
     The guard counts core coordinates: sqfree(127) keeps 18 of its 31.
-    MAX_PEELED_SETS bounds k; _fold_signs takes 0.004 s at k = 1024 on
-    2001 histogram values (0.014 s at 4096; one core of an Intel Xeon).
+    MAX_PEELED_SETS bounds k; _fold_signs takes 0.06 s at k = 10000 on
+    2001 histogram values (one core of an Intel Xeon).
     """
     core, k = _peel_private(list(family.masks))
     n_core = reduce(or_, core, 0).bit_count()
@@ -351,8 +351,8 @@ def haagerup_lambda(n: int) -> Fraction:
     Closed form of (2/pi) Int t^-2 (1 - cos^n t) dt after expanding cos^n
     into cosines of multiples and using Int (1-cos(at)) t^-2 dt = pi|a|/2.
     """
-    if not 1 <= n <= 10_000:
-        raise CubeError(f"need 1 <= n <= 10000, got {n}")
+    if not 1 <= n <= MAX_PEELED_SETS:
+        raise CubeError(f"need 1 <= n <= {MAX_PEELED_SETS}, got {n}")
     return lambda_level_exact(n, 1)
 
 

@@ -397,13 +397,16 @@ class TestPrimesCommand:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is for the McKay/Szarek Y function only and is imported when
-    # that route runs; the Sidon symmetry reduction needs no graph library
+    # numpy is the only runtime dependency: the import, a Sidon solve and
+    # every verify suite (McKay and Szarek through Y) load neither scipy,
+    # which is a test oracle only, nor a graph library
     src = os.path.dirname(os.path.dirname(cube_constants.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     for setup in ("import cube_constants.cli",
                   "import cube_constants as cc; "
-                  "cc.sidon_exact(cc.family_homogeneous(5, 2))"):
+                  "cc.sidon_exact(cc.family_homogeneous(5, 2))",
+                  "import os; from cube_constants import cli; "
+                  "assert cli.main(['verify', '--suite', 'all', '--out', os.devnull]) == 0"):
         code = (
             f"import sys; {setup}; "
             "print(sorted(m for m in sys.modules "

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from scipy.special import erfcx
 
 from cube_constants import core, verify
 
@@ -11,6 +12,13 @@ from cube_constants import core, verify
 class TestYFunction:
     def test_value_at_zero(self):
         assert abs(verify.y_function(0.0) - math.sqrt(math.pi / 2)) <= 1e-14
+
+    def test_matches_erfcx_oracle(self):
+        # both sides of the crossover at 3, then [0, 70] in steps of 0.05
+        xs = [3 - 1e-12, 3.0, 3 + 1e-12] + [k / 20 for k in range(1401)]
+        for x in xs:
+            oracle = math.sqrt(math.pi / 2) * float(erfcx(x / math.sqrt(2)))
+            assert abs(verify.y_function(x) / oracle - 1) <= 1e-14, x
 
     def test_strictly_decreasing(self):
         xs = [0.1 * k for k in range(100)]
