@@ -173,6 +173,8 @@ def _cmd_exact(args) -> int:
             raise UsageError("exact needs --family, or --N together with --d")
         upto = _MODE_ALIASES[args.mode or "exact-degree"] == "up-to-degree"
         spec = {"kind": "upto" if upto else "homogeneous", "N": args.N, "d": args.d}
+    elif (args.N, args.d, args.mode) != (None, None, None):
+        raise UsageError("exact takes --family or --N/--d/--mode, not both")
     else:
         spec = parse_family_spec(args.family)
     lam, method, fam_doc = lambda_of_spec(spec, threads=threads)
@@ -242,12 +244,11 @@ def _cmd_table(args) -> int:
 
 def _cmd_sidon(args) -> int:
     family = make_family(parse_family_spec(args.family))
-    result = sidon_exact(family, tol=args.tol, max_orthants=args.max_orthants)
+    result = sidon_exact(family, max_orthants=args.max_orthants)
     doc = {
         "value": result.value,
         "witness": list(result.witness.coeffs),
         "orthants_solved": result.orthants_solved,
-        "tol": result.tol,
         "family": family.to_json_dict(),
     }
     _emit(doc, args.format, args.out, _kv_rows(doc))
@@ -396,7 +397,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sidon", parents=[output],
                        help="exact Sidon constant by orthant LPs")
     p.add_argument("--family", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-orthants", type=int, default=1 << 16)
     p.set_defaults(func=_cmd_sidon)
 

@@ -53,8 +53,13 @@ class FamilySpecError(CubeError):
     """Malformed family specification."""
 
 
+def _is_json_int(value) -> bool:
+    """An integer as JSON reads it: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_dimension(n: int, cap: int = MAX_DIMENSION) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_json_int(n) or n < 1:
         raise FamilySpecError(f"dimension must be a positive integer, got {n!r}")
     if n > cap:
         raise SizeGuardError(f"dimension {n} exceeds cap {cap}")
@@ -80,7 +85,7 @@ class SubsetMask:
     def from_elements(elements: Iterable[int], n: int) -> "SubsetMask":
         bits = 0
         for e in elements:
-            if isinstance(e, bool) or not isinstance(e, int):
+            if not _is_json_int(e):
                 raise FamilySpecError(f"element {e!r} is not an integer")
             if not 1 <= e <= n:
                 raise FamilySpecError(f"element {e!r} out of range [1, {n}]")
@@ -244,7 +249,7 @@ def _require_d(spec: dict) -> int:
 
 def _check_degree(n: int, d: int) -> None:
     _check_dimension(n)
-    if not isinstance(d, int) or not 1 <= d <= n:
+    if not _is_json_int(d) or not 1 <= d <= n:
         raise FamilySpecError(f"degree d={d!r} must satisfy 1 <= d <= N={n}")
 
 

@@ -37,6 +37,7 @@ from .core import (
     SizeGuardError,
     SupportFamily,
     _compact_masks,
+    _is_json_int,
     _prime_array,
     character_sum_table,
     family_squarefree,
@@ -258,15 +259,15 @@ def lambda_of_spec(spec: dict, threads: int = 1) -> tuple[Fraction, str, dict]:
         raise CubeError("family spec is missing a string 'kind'")
     kind = _KIND_ALIASES.get(kind, kind)
     n = spec.get("N")
-    if not isinstance(n, int):
+    if not _is_json_int(n):
         raise CubeError("family spec is missing an integer 'N'")
     if kind in ("homogeneous", "upto"):
         d = spec.get("d")
-        if not isinstance(d, int):
+        if not _is_json_int(d):
             raise CubeError(f"{kind} family spec needs an integer 'd'")
         return lambda_level_exact(n, d, mode=kind), "level", {"kind": kind, "N": n, "d": d}
     if kind == "prime-singletons":
-        return haagerup_lambda(_prime_array(n).size), "haagerup", {"kind": kind, "N": n}
+        return _prime_singleton_lambda(n)[0], "haagerup", {"kind": kind, "N": n}
     family = make_family(spec)
     return lambda_exact(family, threads=threads), "exact", family.to_json_dict()
 
@@ -356,12 +357,18 @@ def haagerup_lambda(n: int) -> Fraction:
     return lambda_level_exact(n, 1)
 
 
+def _prime_singleton_lambda(n: int) -> tuple[Fraction, int]:
+    count = _prime_array(n).size
+    if not 1 <= count <= MAX_PEELED_SETS:
+        raise CubeError(f"N={n} gives {count} prime singletons, outside 1..{MAX_PEELED_SETS}")
+    return haagerup_lambda(count), count
+
+
 def prime_singleton_report(n: int) -> PrimeSingletonReport:
     """lambda of the prime-singleton family plus its sqrt(N/log N) ratio."""
     if n < 3:
         raise CubeError(f"need N >= 3, got {n}")
-    count = _prime_array(n).size
-    lam = haagerup_lambda(count)
+    lam, count = _prime_singleton_lambda(n)
     ratio = float(lam) / math.sqrt(n / math.log(n))
     return PrimeSingletonReport(lam=lam, ratio=ratio, prime_count=count)
 

@@ -37,7 +37,7 @@ from .core import (
 )
 from .projection import lambda_level_exact
 
-_LP_TOL = 1e-9
+_LP_TOL = 1e-9  # every simplex threshold; the witness may exceed 1 by 10x this
 _LP_MAX_ITER = 20_000
 _DEGENERATE_RUN = 20  # degenerate pivots before Bland's rule takes over
 _MAX_PATTERN_DIM = 16  # active coordinates; constraint rows grow as 2^this
@@ -51,7 +51,7 @@ class LpUnboundedError(CubeError):
     characters, so reaching this means the constraint system is broken."""
 
 
-def lp_maximize(c, A, tol: float = _LP_TOL) -> tuple[float, np.ndarray]:
+def lp_maximize(c, A) -> tuple[float, np.ndarray]:
     """max c.a subject to A a <= b = (1, ..., 1), a free; dense simplex on
     the dual.
 
@@ -93,19 +93,19 @@ def lp_maximize(c, A, tol: float = _LP_TOL) -> tuple[float, np.ndarray]:
     T[:n, :m] = columns
     T[:n, m] = np.abs(c)
     T[n] = -T[:n].sum(axis=0)
-    budget = _simplex(T, basis, tol, _LP_MAX_ITER)
-    if -T[n, m] > tol * (1.0 + float(np.abs(c).sum())):
+    budget = _simplex(T, basis, _LP_MAX_ITER)
+    if -T[n, m] > _LP_TOL * (1.0 + float(np.abs(c).sum())):
         raise LpUnboundedError("unbounded LP: characters cannot be dependent")
     for i in range(n):
         if basis[i] < 0:
             j = int(np.argmax(np.abs(T[i, :m])))
-            if abs(T[i, j]) > tol:
+            if abs(T[i, j]) > _LP_TOL:
                 T[i, m] = 0.0
                 _pivot(T, basis, i, j)
     T[n, :m] = b
     T[n, m] = 0.0
     T[n] -= cost[basis] @ T[:n]
-    _simplex(T, basis, tol, budget)
+    _simplex(T, basis, budget)
     a = sign * np.linalg.solve(extended[:, basis].T, cost[basis])
     return float(c @ a), a
 
@@ -118,7 +118,7 @@ def _pivot(T: np.ndarray, basis: list[int], i: int, j: int) -> None:
     basis[i] = j
 
 
-def _simplex(T: np.ndarray, basis: list[int], tol: float, budget: int) -> int:
+def _simplex(T: np.ndarray, basis: list[int], budget: int) -> int:
     """Pivot the tableau [rows | rhs; reduced costs | -objective] to a
     minimum; artificial columns are absent, so only y columns enter.
     Returns the unused part of the pivot budget."""
@@ -128,25 +128,25 @@ def _simplex(T: np.ndarray, basis: list[int], tol: float, budget: int) -> int:
         reduced = T[rows, :-1]
         if degenerate_run < _DEGENERATE_RUN:
             j = int(np.argmin(reduced))
-            if reduced[j] >= -tol:
+            if reduced[j] >= -_LP_TOL:
                 return budget
         else:
-            eligible = np.flatnonzero(reduced < -tol)
+            eligible = np.flatnonzero(reduced < -_LP_TOL)
             if eligible.size == 0:
                 return budget
             j = int(eligible[0])
         if budget == 0:
-            raise CubeError("simplex failed to terminate; tolerance too tight?")
+            raise CubeError(f"simplex did not finish in {_LP_MAX_ITER} pivots")
         budget -= 1
         col = T[:rows, j]
-        positive = np.flatnonzero(col > tol)
+        positive = np.flatnonzero(col > _LP_TOL)
         if positive.size == 0:
             raise CubeError("dual simplex found no pivot row; constraint data broken")
         ratios = np.maximum(T[positive, -1], 0.0) / col[positive]
         best = ratios.min()
         ties = positive[ratios <= best + 1e-12 * (1.0 + best)]
         i = int(min(ties, key=lambda r: basis[r]))
-        degenerate_run = degenerate_run + 1 if best <= tol else 0
+        degenerate_run = degenerate_run + 1 if best <= _LP_TOL else 0
         _pivot(T, basis, i, j)
 
 
@@ -155,7 +155,6 @@ class SidonResult:
     value: float
     witness: WalshPolynomial
     orthants_solved: int
-    tol: float
 
 
 def _sign_rows(compact: np.ndarray, n_act: int) -> np.ndarray:
@@ -232,26 +231,20 @@ def _orbit_representatives(compact: np.ndarray, n_act: int) -> tuple[list[int], 
     return free, np.flatnonzero(label == np.arange(label.size))
 
 
-def _certify_witness(
-    a: np.ndarray, unique_rows: np.ndarray, value: float, tol: float
-) -> None:
-    """Exact-rational feasibility of the float witness: sup <= 1 + 10 tol."""
+def _certify_witness(a: np.ndarray, unique_rows: np.ndarray, value: float) -> None:
+    """Exact-rational feasibility of the float witness: sup <= 1 + 10 _LP_TOL."""
     exact = [Fraction(float(v)) for v in a]
-    limit = Fraction(1) + 10 * Fraction(tol)
+    limit = 1 + 10 * Fraction(_LP_TOL)
     for row in unique_rows:
         s = sum(coef if sign > 0 else -coef for sign, coef in zip(row, exact))
         if abs(s) > limit:
-            raise CubeError(f"witness infeasible: |f(x)| = {float(s)} > 1 + 10 tol")
+            raise CubeError(f"witness infeasible: |f(x)| = {float(s)} > {float(limit)}")
     l1 = sum(abs(v) for v in exact)
-    if float(l1) < value - tol:
+    if float(l1) < value - _LP_TOL:
         raise CubeError(f"witness l1 {float(l1)} below reported value {value}")
 
 
-def sidon_exact(
-    family: SupportFamily,
-    tol: float = _LP_TOL,
-    max_orthants: int = DEFAULT_MAX_ORTHANTS,
-) -> SidonResult:
+def sidon_exact(family: SupportFamily, max_orthants: int = DEFAULT_MAX_ORTHANTS) -> SidonResult:
     """sid(B_S^N): max over sign-pattern orbits of an LP over the unit ball.
 
     Guards by work, not by raw N: at most 16 active coordinates, MAX_COSETS
@@ -261,10 +254,6 @@ def sidon_exact(
     feasible polynomial to one of the same l1-norm.  The LPs run in
     ascending coset index and the first best one gives the witness.
     """
-    if not tol >= 0:
-        raise CubeError(f"tol must be >= 0, got {tol}")
-    if tol == math.inf:
-        raise CubeError("tol must be finite, got inf")
     compact, n_act = _compact_masks(family.masks)
     m = len(compact)
     if n_act > _MAX_PATTERN_DIM:
@@ -279,14 +268,12 @@ def sidon_exact(
     for r in reps.tolist():
         c = np.ones(m)
         c[[j for k, j in enumerate(free) if (r >> k) & 1]] = -1.0
-        value, a = lp_maximize(c, A, tol=tol)
+        value, a = lp_maximize(c, A)
         if value > best_value:
             best_value, best_a = value, a
-    _certify_witness(best_a, unique, best_value, tol)
+    _certify_witness(best_a, unique, best_value)
     witness = WalshPolynomial(family, tuple(float(v) for v in best_a), exact=False)
-    return SidonResult(
-        value=best_value, witness=witness, orthants_solved=len(reps), tol=tol
-    )
+    return SidonResult(value=best_value, witness=witness, orthants_solved=len(reps))
 
 
 def kappa_constant(tol: float = 1e-4) -> float:

@@ -68,6 +68,24 @@ class TestExact:
         assert code == 64
         assert "error" in err
 
+    @pytest.mark.parametrize("flags", [["--N", "10"], ["--d", "3"], ["--mode", "upto"],
+                                       ["--N", "10", "--d", "3", "--mode", "upto"]])
+    def test_family_with_n_d_mode_is_usage_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "exact", "--family", "homog:4:2", *flags)
+        assert (code, out) == (64, "")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["exact", "--family", "primes:1"], "N=1 gives 0 prime singletons"),
+        (["exact", "--family", "primes:200000"], "N=200000 gives 17984 prime singletons"),
+        (["primes", "--N", "200000"], "N=200000 gives 17984 prime singletons"),
+    ])
+    def test_prime_singleton_refusal_names_n_and_count(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_guard_error_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--family", "sqfree:9999")
         assert code == 2
@@ -102,7 +120,6 @@ class TestUsage:
     @pytest.mark.parametrize(
         "make_argv",
         [
-            lambda tmp: ["sidon", "--family", "homog:4:2", "--tol", "-1"],
             lambda tmp: ["mc", "--family", "homog:6:2", "--seed", str(2**64)],
             lambda tmp: ["kappa", "--out", str(tmp / "missing" / "x.json")],
             lambda tmp: ["families", "--family",
@@ -117,7 +134,6 @@ class TestUsage:
             lambda tmp: ["verify", "--suite", "all", "--max-n", "0"],
             lambda tmp: ["verify", "--suite", "desigforo", "--desigforo-max-n", "1"],
             lambda tmp: ["verify", "--suite", "all", "--desigforo-max-n", "1"],
-            lambda tmp: ["sidon", "--family", "homog:4:2", "--tol", "inf"],
             lambda tmp: ["mc", "--family", "homog:6:2", "--samples", str(10**30)],
             lambda tmp: ["verify", "--suite", "klimek", "--trials", str(10**30)],
             lambda tmp: ["verify", "--suite", "range", "--max-n", "101"],
@@ -128,14 +144,24 @@ class TestUsage:
             lambda tmp: ["families", "--family", f"sqfree:{10**10}"],
             lambda tmp: ["mc", "--family", "homog:40:20", "--samples", "1000"],
             lambda tmp: ["mc", "--family", "upto:60:30", "--samples", "1000"],
+            lambda tmp: ["exact", "--family",
+                         _family_file(tmp, {"kind": "explicit", "N": True, "sets": [[1]]})],
+            lambda tmp: ["families", "--family",
+                         _family_file(tmp, {"kind": "explicit", "N": True, "sets": [[1]]})],
+            lambda tmp: ["exact", "--family",
+                         _family_file(tmp, {"kind": "homogeneous", "N": True, "d": True})],
+            lambda tmp: ["sidon", "--family",
+                         _family_file(tmp, {"kind": "homogeneous", "N": True, "d": True})],
         ],
-        ids=["negative-tol", "seed-2**64", "out-missing-dir", "sets-not-array", "null-set",
+        ids=["seed-2**64", "out-missing-dir", "sets-not-array", "null-set",
              "threads-negative", "threads-zero", "combinatorics-max-n-0", "range-max-n-0",
              "range-max-n-negative", "all-max-n-0", "desigforo-max-n-1",
-             "all-desigforo-max-n-1", "infinite-tol", "huge-samples", "huge-trials",
+             "all-desigforo-max-n-1", "huge-samples", "huge-trials",
              "range-max-n-101", "huge-desigforo-max-n", "mckay-max-n-4003",
              "primes-sieve-past-cap", "exact-primes-sieve-past-cap", "sqfree-past-cap",
-             "homog-set-count-past-cap", "upto-set-count-past-cap"],
+             "homog-set-count-past-cap", "upto-set-count-past-cap",
+             "exact-explicit-n-true", "families-explicit-n-true",
+             "exact-homog-n-d-true", "sidon-homog-n-d-true"],
     )
     def test_bad_input_exits_cleanly(self, capsys, tmp_path, make_argv):
         code, _, err = run_cli(capsys, *make_argv(tmp_path))
@@ -219,7 +245,7 @@ _ARGVS = st.one_of(
          _opt("--N", ["10,20", "0", "-5", "12", _HUGE, "3,x"]), _FORMAT),
     _cmd("table", _FORMAT),
     # Sidon LPs grow fastest, so their families stay at N <= 4
-    _cmd("sidon", _families(["-1", "0", "1", "2", "3", "4", _HUGE]), _opt("--tol", _TOLS),
+    _cmd("sidon", _families(["-1", "0", "1", "2", "3", "4", _HUGE]),
          _opt("--max-orthants", ["-1", "0", "1", "16"]), _FORMAT),
     _cmd("kappa", _opt("--tol", _TOLS), _FORMAT),
     _cmd("verify",
@@ -325,6 +351,20 @@ class TestSidonCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["sidon", "--family", "upto:2:2", "--threads", "2"])
         assert exc.value.code == 64
+
+    def test_takes_no_tol(self, capsys):
+        # the LP tolerance is a fixed constant of the library, not an option
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sidon", "--family", "upto:4:2", "--tol", "0"])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("family, value", [("upto:4:2", 8 / 3), ("homog:6:3", 7 / 2)])
+    def test_document(self, capsys, family, value):
+        code, out, _ = run_cli(capsys, "sidon", "--family", family)
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["value"] - value) <= 1e-12
+        assert sorted(doc) == ["family", "orthants_solved", "value", "witness"]
 
 
 class TestKappaCommand:

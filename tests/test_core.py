@@ -212,6 +212,12 @@ class TestFamilies:
             core.make_family({"N": 3})
         with pytest.raises(core.FamilySpecError):
             core.make_family({"kind": "explicit", "N": 3})
+        # JSON true is not an integer, though Python's bool is an int
+        for spec in ({"kind": "explicit", "N": True, "sets": [[1]]},
+                     {"kind": "homogeneous", "N": True, "d": True},
+                     {"kind": "upto", "N": 4, "d": True}):
+            with pytest.raises(core.FamilySpecError):
+                core.make_family(spec)
 
 
 class TestEvaluate:

@@ -241,6 +241,9 @@ class TestLambdaOfSpec:
             ({"N": 4}, "family spec is missing a string 'kind'"),
             ({"kind": "upto", "N": "4", "d": 2}, "family spec is missing an integer 'N'"),
             ({"kind": "homogeneous", "N": 4}, "homogeneous family spec needs an integer 'd'"),
+            ({"kind": "upto", "N": True, "d": 2}, "family spec is missing an integer 'N'"),
+            ({"kind": "homogeneous", "N": 4, "d": True},
+             "homogeneous family spec needs an integer 'd'"),
         ],
     )
     def test_spec_errors(self, spec, message):

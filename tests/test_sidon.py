@@ -1,5 +1,7 @@
 """LP solver, exact Sidon constants, kappa, and the related inequalities."""
 
+import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -327,6 +329,12 @@ class TestSidonExact:
         b = sidon.sidon_exact(fam)
         assert (a.value, a.witness.coeffs, a.orthants_solved) == (
             b.value, b.witness.coeffs, b.orthants_solved)
+
+    def test_lp_tolerance_is_not_a_parameter(self):
+        for fn in (sidon.lp_maximize, sidon.sidon_exact):
+            assert "tol" not in inspect.signature(fn).parameters
+        assert [f.name for f in dataclasses.fields(sidon.SidonResult)] == [
+            "value", "witness", "orthants_solved"]
 
 
 class TestKappa:
