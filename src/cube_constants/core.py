@@ -209,6 +209,14 @@ def family_squarefree(n: int) -> SupportFamily:
     return SupportFamily(n, tuple(sorted(masks)), "square-free")
 
 
+def _spec_kind(spec: dict) -> str:
+    """The canonical kind of a family JSON spec, which must name it as a string."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str):
+        raise FamilySpecError("family spec is missing a string 'kind'")
+    return _KIND_ALIASES.get(kind, kind)
+
+
 def make_family(spec: dict) -> SupportFamily:
     """Build a family from its JSON dict form.
 
@@ -216,14 +224,10 @@ def make_family(spec: dict) -> SupportFamily:
     {"kind":"upto","N":10,"d":3}, {"kind":"prime-singletons","N":100},
     {"kind":"squarefree","N":60}.  Indices are 1-based.
     """
-    if not isinstance(spec, dict):
-        raise FamilySpecError(f"family spec must be a dict, got {type(spec).__name__}")
-    try:
-        kind = spec["kind"]
-        n = spec["N"]
-    except KeyError as exc:
-        raise FamilySpecError(f"family spec missing key {exc}") from None
-    kind = _KIND_ALIASES.get(kind, kind)
+    kind = _spec_kind(spec)
+    if "N" not in spec:
+        raise FamilySpecError("family spec missing key 'N'")
+    n = spec["N"]
     if kind == "explicit":
         sets = spec.get("sets")
         arrays = (list, tuple)

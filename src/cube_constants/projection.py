@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from operator import mul, or_
+from operator import or_
 
 import numpy as np
 
 from .core import (
-    _KIND_ALIASES,
     _MODE_ALIASES,
     MAX_ENUM_DIMENSION,
     CubeError,
@@ -39,6 +38,7 @@ from .core import (
     _compact_masks,
     _is_json_int,
     _prime_array,
+    _spec_kind,
     character_sum_table,
     family_squarefree,
     make_family,
@@ -216,9 +216,14 @@ def lambda_exact(family: SupportFamily, threads: int = 1) -> Fraction:
 def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
     """lambda of the full degree-d family (or all degrees <= d), exactly.
 
-    The character sum at a point depends only on the number m of +1
-    coordinates, so the cube average collapses to a binomial-weighted sum
-    over m = 0..N; O(N d) big-integer terms.
+    At a point with x coordinates -1 the value is v(x) = K_d(x; N) = [z^d]
+    (1-z)^x (1+z)^(N-x); over degrees <= d the series is divided by 1 - z:
+    v(x) = K_d(x-1; N-1) for x >= 1, v(0) > 0.  K_d(x; M) steps exactly by
+    (M-x) K_d(x+1) = (M-2d) K_d(x) - x K_d(x-1), which is (k+1) K_{k+1}(y) =
+    (M-2y) K_k(y) - (M-k+1) K_{k-1}(y) at k = x, y = d, times C(M, d) / C(M, x),
+    since C(M, k) K_d(k) = C(M, d) K_k(d) = [z^d w^k] (1+z+w-zw)^M.  Each
+    chi_S sums to 2^N [S empty] over the cube, so sum_x C(N, x) v(x) = 2^N
+    [upto], and |v| = v - 2 min(v, 0) leaves only the v < 0 to weigh.
     """
     if mode not in _MODE_ALIASES:
         raise CubeError(f"unknown mode {mode!r}")
@@ -227,24 +232,17 @@ def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
         raise CubeError(f"need 1 <= d <= N, got d={d}, N={n}")
     if n > MAX_LEVEL_N:
         raise SizeGuardError(f"N={n} exceeds level-formula cap {MAX_LEVEL_N}")
-    degrees = range(d, d + 1) if mode == "exact-degree" else range(0, d + 1)
-    # At each m, up[j] = C(m, j) and down[i] = (-1)^i C(n-m, i), so that
-    # level_sum_at(n, k, m) = sum_j up[j] down[k-j]; Pascal's rule steps m.
-    up = [1] + [0] * d
-    down = [(-1) ** i * math.comb(n, i) for i in range(d + 1)]
-    steps = range(1, d + 1)
-    total = 0
-    binom = 1  # C(n, m), updated incrementally
-    for m in range(n + 1):
-        t = 0
-        for k in degrees:
-            t += sum(map(mul, up[: k + 1], down[k::-1]))
-        total += binom * abs(t)
-        binom = binom * (n - m) // (m + 1)
-        for j in steps:
-            up[d + 1 - j] += up[d - j]
-            down[j] += down[j - 1]
-    return Fraction(total, 1 << n)
+    s = int(mode == "up-to-degree")  # the point x = y + s takes K_d(y; N-s)
+    m = n - s
+    # C(N, y+s), K_d(y-1), K_d(y), and the sum of C(N, x) v(x) over v(x) < 0
+    weight, before, k, below = math.comb(n, s), 0, math.comb(m, d), 0
+    for y in range(m):
+        if k < 0:
+            below += weight * k
+        weight = weight * (m - y) // (y + s + 1)
+        before, k = k, ((m - 2 * d) * k - y * before) // (m - y)
+    below += min(k, 0)  # y = m, where the weight is C(N, N) = 1
+    return Fraction((s << n) - 2 * below, 1 << n)
 
 
 def lambda_of_spec(spec: dict, threads: int = 1) -> tuple[Fraction, str, dict]:
@@ -254,10 +252,7 @@ def lambda_of_spec(spec: dict, threads: int = 1) -> tuple[Fraction, str, dict]:
     singletons Haagerup's formula ("haagerup"), without building the family;
     every other spec is built and goes through the butterfly ("exact").
     """
-    kind = spec.get("kind") if isinstance(spec, dict) else None
-    if not isinstance(kind, str):
-        raise CubeError("family spec is missing a string 'kind'")
-    kind = _KIND_ALIASES.get(kind, kind)
+    kind = _spec_kind(spec)
     n = spec.get("N")
     if not _is_json_int(n):
         raise CubeError("family spec is missing an integer 'N'")
@@ -366,8 +361,6 @@ def _prime_singleton_lambda(n: int) -> tuple[Fraction, int]:
 
 def prime_singleton_report(n: int) -> PrimeSingletonReport:
     """lambda of the prime-singleton family plus its sqrt(N/log N) ratio."""
-    if n < 3:
-        raise CubeError(f"need N >= 3, got {n}")
     lam, count = _prime_singleton_lambda(n)
     ratio = float(lam) / math.sqrt(n / math.log(n))
     return PrimeSingletonReport(lam=lam, ratio=ratio, prime_count=count)

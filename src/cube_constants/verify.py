@@ -314,6 +314,8 @@ def run_suite(
         raise SizeGuardError(
             f"desigforo_max_n {desigforo_max_n} exceeds the cap {_DESIGFORO_MAX_N}"
         )
+    if mckay_max_n < 1 and name in ("mckay", "all"):
+        raise CubeError(f"mckay_max_n must be >= 1, got {mckay_max_n}")
     # the McKay sweep visits odd N only, so 4002 still stops at N = 4001
     if mckay_max_n > _MCKAY_MAX_N + 1 and name in ("mckay", "all"):
         raise SizeGuardError(

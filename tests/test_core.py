@@ -208,8 +208,9 @@ class TestFamilies:
             core.make_family({"kind": "nope", "N": 3})
         with pytest.raises(core.FamilySpecError):
             core.make_family({"kind": "homogeneous", "N": 3})
-        with pytest.raises(core.FamilySpecError):
-            core.make_family({"N": 3})
+        for spec in ({"N": 3}, {"kind": ["x"], "N": 3}, [1, 2]):
+            with pytest.raises(core.FamilySpecError, match="missing a string 'kind'"):
+                core.make_family(spec)
         with pytest.raises(core.FamilySpecError):
             core.make_family({"kind": "explicit", "N": 3})
         # JSON true is not an integer, though Python's bool is an int

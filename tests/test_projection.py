@@ -264,23 +264,30 @@ class TestLambdaLevel:
         lev = projection.lambda_level_exact(n, d, mode)
         assert lev == projection.lambda_exact(fam_fn(n, d))
 
+    @staticmethod
+    def _level_sum_reference(n, top):
+        # the sums over m of C(n, m) |sum_k level_sum_at(n, k, m)| for the
+        # degree-d and the up-to-d family, d = 1..top, binomials from
+        # scratch at every m
+        exact, upto = [], []
+        running = [1] * (n + 1)  # the degree-0 level value is 1 everywhere
+        for k in range(1, top + 1):
+            level = [combinatorics.level_sum_at(n, k, m) for m in range(n + 1)]
+            running = [r + v for r, v in zip(running, level)]
+            for out, values in ((exact, level), (upto, running)):
+                total = sum(math.comb(n, m) * abs(v) for m, v in enumerate(values))
+                out.append(Fraction(total, 1 << n))
+        return exact, upto
+
     def test_matches_level_sum_at_reference(self):
-        # the sum over m of C(n, m) |sum_k level_sum_at(n, k, m)|, binomials
-        # from scratch at every m
-        for n in range(1, 201):
-            top = min(n, 4)
-            level = [[combinatorics.level_sum_at(n, k, m) for m in range(n + 1)]
-                     for k in range(top + 1)]
-
-            def reference(degrees):
-                total = sum(math.comb(n, m) * abs(sum(level[k][m] for k in degrees))
-                            for m in range(n + 1))
-                return Fraction(total, 1 << n)
-
+        # every degree up to N = 40, low degrees up to N = 199, and half degree
+        cases = [(n, n if n <= 40 else 4) for n in range(1, 200)] + [(200, 100)]
+        for n, top in cases:
+            exact, upto = self._level_sum_reference(n, top)
             for d in range(1, top + 1):
-                assert projection.lambda_level_exact(n, d) == reference(range(d, d + 1))
-                assert projection.lambda_level_exact(n, d, "upto") == reference(range(d + 1))
-            assert projection.haagerup_lambda(n) == reference([1])
+                assert projection.lambda_level_exact(n, d) == exact[d - 1], (n, d)
+                assert projection.lambda_level_exact(n, d, "upto") == upto[d - 1], (n, d)
+            assert projection.haagerup_lambda(n) == exact[0]
 
     def test_mode_aliases(self):
         a = projection.lambda_level_exact(8, 3, "exact")
@@ -388,6 +395,9 @@ class TestPrimeReports:
         rep = projection.prime_singleton_report(10)
         assert rep.prime_count == 4
         assert rep.lam == Fraction(3, 2)
+        rep = projection.prime_singleton_report(2)
+        assert rep.prime_count == 1
+        assert rep.lam == 1
 
     def test_ratio_definition(self):
         rep = projection.prime_singleton_report(50)
@@ -395,8 +405,8 @@ class TestPrimeReports:
         assert abs(rep.ratio - want) <= 1e-12
 
     def test_guard(self):
-        with pytest.raises(core.CubeError):
-            projection.prime_singleton_report(2)
+        with pytest.raises(core.CubeError, match="0 prime singletons"):
+            projection.prime_singleton_report(1)
 
     def test_squarefree_cross_check(self):
         rep = projection.squarefree_mc(16, samples=20000, seed=42)
