@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -120,29 +119,31 @@ def _jsonable(value):
 
 
 def _emit(doc, fmt: str, out: str | None, csv_rows=None) -> None:
-    """Write the document.  csv_rows, when given, is (header, rows) with
-    every cell already a string."""
-    if fmt == "json":
-        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
-    else:
-        if csv_rows is None:
-            raise CubeError("this subcommand has no CSV rendering; use --format json")
-        header, rows = csv_rows
-        buffer = io.StringIO()
-        buffer.write(CSV_BANNER + "\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-        text = buffer.getvalue()
+    """Write the document to stdout or the --out file.  csv_rows, when
+    given, is (header, rows) with every cell already a string."""
+    if fmt != "json" and csv_rows is None:
+        raise CubeError("this subcommand has no CSV rendering; use --format json")
     if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CubeError(f"cannot write {out!r}: {exc}")
+        _write(doc, fmt, csv_rows, sys.stdout)
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            _write(doc, fmt, csv_rows, handle)
+    except OSError as exc:
+        raise CubeError(f"cannot write {out!r}: {exc}")
+
+
+def _write(doc, fmt: str, csv_rows, handle) -> None:
+    """Render straight into handle, with no copy of the whole text."""
+    if fmt == "json":
+        json.dump(_jsonable(doc), handle, sort_keys=True, indent=2)
+        handle.write("\n")
+        return
+    header, rows = csv_rows
+    handle.write(CSV_BANNER + "\n")
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _float_cell(value: float) -> str:

@@ -26,6 +26,7 @@ MAX_ENUM_DIMENSION = 30       # full-cube enumeration guard
 MAX_TRANSFORM_DIMENSION = 24  # in-memory transform guard
 MAX_FAMILY_SETS = 1 << 20     # sets a homogeneous or upto family may enumerate
 MAX_SIEVE = 10**8             # prime sieve bound; kappa needs at most 36500001
+_SIEVE_BLOCK = 1 << 20        # numbers per sieve block: a 1 MiB bool array
 
 FAMILY_KINDS = ("explicit", "homogeneous", "upto", "prime-singletons", "square-free")
 # JSON spelling differs for one kind; accept both on input.
@@ -378,16 +379,33 @@ def philox(seed: int, stream: int) -> np.random.Philox:
     return np.random.Philox(key=[seed, stream])
 
 
-def _prime_array(n: int) -> np.ndarray:
-    """Primes <= n, ascending, as an integer array: Eratosthenes in numpy."""
+def _prime_blocks(n: int) -> Iterator[np.ndarray]:
+    """Primes <= n, ascending, as one integer array per block of
+    _SIEVE_BLOCK numbers: Eratosthenes in numpy, one block at a time.
+
+    The first block holds every prime <= sqrt(MAX_SIEVE), and those primes
+    strike their multiples from each later block.
+    """
     if n > MAX_SIEVE:
         raise SizeGuardError(f"prime sieve bound {n} exceeds cap {MAX_SIEVE}")
-    sieve = np.ones(max(n + 1, 2), dtype=bool)
+    end = max(n + 1, 2)
+    sieve = np.ones(min(end, _SIEVE_BLOCK), dtype=bool)
     sieve[:2] = False
-    for p in range(2, math.isqrt(max(n, 0)) + 1):
+    for p in range(2, math.isqrt(sieve.size - 1) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
+    base = np.flatnonzero(sieve)
+    yield base
+    for lo in range(_SIEVE_BLOCK, end, _SIEVE_BLOCK):
+        sieve = np.ones(min(end - lo, _SIEVE_BLOCK), dtype=bool)
+        for p in base[base <= math.isqrt(lo + sieve.size - 1)].tolist():
+            sieve[-lo % p :: p] = False
+        yield np.flatnonzero(sieve) + lo
+
+
+def _prime_array(n: int) -> np.ndarray:
+    """Primes <= n, ascending, as an integer array."""
+    return np.concatenate(list(_prime_blocks(n)))
 
 
 def primes_upto(n: int) -> list[int]:

@@ -223,7 +223,10 @@ def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
     (M-2y) K_k(y) - (M-k+1) K_{k-1}(y) at k = x, y = d, times C(M, d) / C(M, x),
     since C(M, k) K_d(k) = C(M, d) K_k(d) = [z^d w^k] (1+z+w-zw)^M.  Each
     chi_S sums to 2^N [S empty] over the cube, so sum_x C(N, x) v(x) = 2^N
-    [upto], and |v| = v - 2 min(v, 0) leaves only the v < 0 to weigh.
+    [upto], and |v| = v - 2 min(v, 0) leaves only the v < 0 to weigh.  A
+    first scan, without weights, finds the span [a, b] from the first to the
+    last y with K_d(y) < 0; a second restarts there and steps the N-bit
+    weight C(N, y+s) only across that span.
     """
     if mode not in _MODE_ALIASES:
         raise CubeError(f"unknown mode {mode!r}")
@@ -234,14 +237,25 @@ def lambda_level_exact(n: int, d: int, mode: str = "exact-degree") -> Fraction:
         raise SizeGuardError(f"N={n} exceeds level-formula cap {MAX_LEVEL_N}")
     s = int(mode == "up-to-degree")  # the point x = y + s takes K_d(y; N-s)
     m = n - s
-    # C(N, y+s), K_d(y-1), K_d(y), and the sum of C(N, x) v(x) over v(x) < 0
-    weight, before, k, below = math.comb(n, s), 0, math.comb(m, d), 0
-    for y in range(m):
+    # K_d(y-1), K_d(y), and the first and last y >= 1 with K_d(y) < 0; 0 while
+    # there is none, since K_d(0) = C(M, d) >= 0
+    before, k, a, b = 0, math.comb(m, d), 0, 0
+    for y in range(1, m + 1):
+        before, k = k, ((m - 2 * d) * k - (y - 1) * before) // (m + 1 - y)
         if k < 0:
-            below += weight * k
-        weight = weight * (m - y) // (y + s + 1)
-        before, k = k, ((m - 2 * d) * k - y * before) // (m - y)
-    below += min(k, 0)  # y = m, where the weight is C(N, N) = 1
+            if not a:
+                a, start = y, (before, k)
+            b = y
+    # the sum of C(N, x) v(x) over v(x) < 0, with the weight C(N, y+s)
+    below = 0
+    if a:
+        (before, k), weight = start, math.comb(n, a + s)
+        below = weight * k
+        for y in range(a + 1, b + 1):
+            weight = weight * (m + 1 - y) // (y + s)
+            before, k = k, ((m - 2 * d) * k - (y - 1) * before) // (m + 1 - y)
+            if k < 0:
+                below += weight * k
     return Fraction((s << n) - 2 * below, 1 << n)
 
 

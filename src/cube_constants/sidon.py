@@ -30,7 +30,7 @@ from .core import (
     SupportFamily,
     WalshPolynomial,
     _compact_masks,
-    _prime_array,
+    _prime_blocks,
     character_sum_table,
     family_homogeneous,
     philox,
@@ -291,9 +291,13 @@ def kappa_constant(tol: float = 1e-4) -> float:
 
 @functools.cache
 def _kappa_upto(cutoff: int) -> float:
-    """prod_{p <= cutoff} sinc(pi/p)^{-1}, once per cutoff in a process."""
-    x = np.pi / _prime_array(cutoff)
-    return math.exp(-np.log(np.sin(x) / x).sum())
+    """prod_{p <= cutoff} sinc(pi/p)^{-1}, once per cutoff in a process;
+    the log-sinc is summed one sieve block at a time."""
+    log_sinc = 0.0
+    for primes in _prime_blocks(cutoff):
+        x = np.pi / primes
+        log_sinc += np.log(np.sin(x) / x).sum()
+    return math.exp(-log_sinc)
 
 
 @dataclass(frozen=True)

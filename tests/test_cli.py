@@ -418,6 +418,27 @@ class TestVerifyCommand:
         assert set(doc) == {"identity", "c_table", "beckner"}
         assert doc["identity"] is True
 
+    def test_written_document_is_the_dumped_string(self, capsys, tmp_path):
+        doc = [cli._report_doc(r) for r in verify.run_suite("range", max_n=8)]
+        want = json.dumps(cli._jsonable(doc), sort_keys=True, indent=2) + "\n"
+        argv = ["verify", "--suite", "range", "--max-n", "8"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == want
+        path = tmp_path / "range.json"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_csv_refusal_opens_no_out_file(self, capsys, tmp_path):
+        path = tmp_path / "combinatorics.csv"
+        code, out, err = run_cli(capsys, "verify", "--suite", "combinatorics",
+                                 "--format", "csv", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "no CSV rendering" in err
+        assert not path.exists()
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "desigforo",
                                "--desigforo-max-n", "20", "--format", "csv")

@@ -251,3 +251,12 @@ class TestPrimes:
             got = core.primes_upto(n)
             assert got == want
             assert all(type(p) is int for p in got)
+
+    @pytest.mark.parametrize("n", [2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+    def test_block_edges_match_one_array_sieve(self, n):
+        sieve = np.ones(n + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        assert core.primes_upto(n) == np.flatnonzero(sieve).tolist()

@@ -280,14 +280,22 @@ class TestLambdaLevel:
         return exact, upto
 
     def test_matches_level_sum_at_reference(self):
-        # every degree up to N = 40, low degrees up to N = 199, and half degree
-        cases = [(n, n if n <= 40 else 4) for n in range(1, 200)] + [(200, 100)]
+        # every degree up to N = 40, low degrees up to N = 199, half degree,
+        # and N = 3001, where an odd degree's negative span runs to y = N
+        cases = [(n, n if n <= 40 else 4) for n in range(1, 200)] + [(200, 100), (3001, 3)]
         for n, top in cases:
             exact, upto = self._level_sum_reference(n, top)
             for d in range(1, top + 1):
                 assert projection.lambda_level_exact(n, d) == exact[d - 1], (n, d)
                 assert projection.lambda_level_exact(n, d, "upto") == upto[d - 1], (n, d)
             assert projection.haagerup_lambda(n) == exact[0]
+
+    @pytest.mark.parametrize("n", [99999, 100000])
+    def test_haagerup_closed_form_at_the_cap(self, n):
+        # E|x_1 + ... + x_N| = N C(N-1, floor((N-1)/2)) / 2^(N-1); the
+        # negative span starts near N/2, far from x = 0
+        want = Fraction(n * math.comb(n - 1, (n - 1) // 2), 1 << (n - 1))
+        assert projection.lambda_level_exact(n, 1) == want
 
     def test_mode_aliases(self):
         a = projection.lambda_level_exact(8, 3, "exact")

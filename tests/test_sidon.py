@@ -357,6 +357,16 @@ class TestKappa:
                 log_sum -= math.log(math.sin(x) / x)
         assert abs(sidon.kappa_constant(tol) / math.exp(log_sum) - 1) <= 1e-13
 
+    def test_largest_cutoff_sieves_in_blocks(self):
+        # the cutoff of tol = 1e-7, whose one-array sieve takes 51.8 MiB
+        tracemalloc.start()
+        try:
+            sidon._kappa_upto.__wrapped__(36_500_001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
     def test_guard(self):
         with pytest.raises(core.CubeError):
             sidon.kappa_constant(1e-9)
