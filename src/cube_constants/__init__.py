@@ -28,7 +28,6 @@ from .core import (
 )
 from .hermite import (
     RationalPolynomial,
-    abs_gaussian_moment,
     hermite_poly,
     hermite_roots,
     larsson_cohn_ratio,

@@ -98,70 +98,71 @@ def parse_family_spec(text: str) -> dict:
     )
 
 
-def _fraction_doc(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
 def _jsonable(value):
+    """The document in JSON types: a Fraction becomes {"num", "den"} strings,
+    a tuple a list, a numpy integer or bool its Python value."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
     if isinstance(value, Fraction):
-        return _fraction_doc(value)
+        return {"num": str(value.numerator), "den": str(value.denominator)}
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
     if hasattr(value, "item"):
         return _jsonable(value.item())
     return str(value)
 
 
-def _emit(doc, fmt: str, out: str | None, csv_rows=None) -> None:
-    """Write the document to stdout or the --out file.  csv_rows, when
-    given, is (header, rows) with every cell already a string."""
-    if fmt != "json" and csv_rows is None:
+def _emit(doc, args, csv_rows=None) -> None:
+    """Convert the document once and write it to stdout or the --out file.
+    csv_rows, for commands with a CSV form, maps the converted document to
+    (header, rows) with every cell a string; it runs only for --format csv."""
+    if args.format != "json" and csv_rows is None:
         raise CubeError("this subcommand has no CSV rendering; use --format json")
-    if out is None:
-        _write(doc, fmt, csv_rows, sys.stdout)
+    doc = _jsonable(doc)
+    if args.out is None:
+        _write(doc, args.format, csv_rows, sys.stdout)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            _write(doc, fmt, csv_rows, handle)
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            _write(doc, args.format, csv_rows, handle)
     except OSError as exc:
-        raise CubeError(f"cannot write {out!r}: {exc}")
+        raise CubeError(f"cannot write {args.out!r}: {exc}")
 
 
 def _write(doc, fmt: str, csv_rows, handle) -> None:
     """Render straight into handle, with no copy of the whole text."""
     if fmt == "json":
-        json.dump(_jsonable(doc), handle, sort_keys=True, indent=2)
+        json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
         return
-    header, rows = csv_rows
+    header, rows = csv_rows(doc)
     handle.write(CSV_BANNER + "\n")
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
+def _kv_rows(doc: dict):
+    """One row per key: a dict or list as compact JSON, a scalar by str."""
+    return ["key", "value"], [
+        [key, json.dumps(value, sort_keys=True) if isinstance(value, (dict, list)) else str(value)]
+        for key, value in sorted(doc.items())
+    ]
 
 
-def _kv_rows(doc: dict) -> tuple[list[str], list[list[str]]]:
-    rows = []
-    for key in sorted(doc):
-        value = doc[key]
-        if isinstance(value, float):
-            cell = _float_cell(value)
-        elif isinstance(value, (dict, list)):
-            cell = json.dumps(_jsonable(value), sort_keys=True)
-        else:
-            cell = str(value)
-        rows.append([key, cell])
-    return ["key", "value"], rows
+def _table_rows(doc: dict):
+    header = ["d", "limit_constant", "normalized", "reference_value"]
+    return header, [[str(row[key]) for key in header] for row in doc["rows"]]
+
+
+def _report_rows(doc: list):
+    """One row per report: the name as is, every other cell as compact JSON."""
+    header = ["name", "lhs", "rhs", "pass", "context"]
+    return header, [
+        [r["name"], *(json.dumps(r[key], sort_keys=True) for key in header[1:])] for r in doc
+    ]
 
 
 # ----------------------------------------------------------------- commands
@@ -180,12 +181,12 @@ def _cmd_exact(args) -> int:
         spec = parse_family_spec(args.family)
     lam, method, fam_doc = lambda_of_spec(spec, threads=threads)
     doc = {
-        "lambda": _fraction_doc(lam),
+        "lambda": lam,
         "float": float(lam),
         "method": method,
         "family": fam_doc,
     }
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 
@@ -202,7 +203,7 @@ def _cmd_mc(args) -> int:
         "seed": est.seed,
         "family": family.to_json_dict(),
     }
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 
@@ -218,28 +219,21 @@ def _cmd_limit(args) -> int:
             lam = lambda_level_exact(n, args.d, mode="exact-degree")
             series.append({"N": n, "ratio": float(lam) / n ** (args.d / 2)})
         doc["series"] = series
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    rows_doc = []
-    for d in range(2, 7):
-        rows_doc.append(
-            {
-                "d": d,
-                "limit_constant": limit_constant(d),
-                "normalized": normalized_limit_constant(d),
-                "reference_value": _TABLE_REFERENCE[d] / d ** 0.25,
-            }
-        )
-    header = ["d", "limit_constant", "normalized", "reference_value"]
     rows = [
-        [str(r["d"]), _float_cell(r["limit_constant"]), _float_cell(r["normalized"]),
-         _float_cell(r["reference_value"])]
-        for r in rows_doc
+        {
+            "d": d,
+            "limit_constant": limit_constant(d),
+            "normalized": normalized_limit_constant(d),
+            "reference_value": _TABLE_REFERENCE[d] / d ** 0.25,
+        }
+        for d in range(2, 7)
     ]
-    _emit({"rows": rows_doc}, args.format, args.out, (header, rows))
+    _emit({"rows": rows}, args, _table_rows)
     return EXIT_OK
 
 
@@ -252,31 +246,21 @@ def _cmd_sidon(args) -> int:
         "orthants_solved": result.orthants_solved,
         "family": family.to_json_dict(),
     }
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 
 def _cmd_kappa(args) -> int:
     doc = {"kappa": kappa_constant(tol=args.tol), "tol": args.tol}
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
-
-
-def _report_doc(report) -> dict:
-    return {
-        "name": report.name,
-        "lhs": _jsonable(report.lhs),
-        "rhs": _jsonable(report.rhs),
-        "pass": report.passed,
-        "context": _jsonable(report.context),
-    }
 
 
 def _cmd_verify(args) -> int:
     if args.suite == "combinatorics":
         # one pass yields the written document and the reports behind the exit code
         reports, doc = _combinatorics_checks(args.max_n)
-        _emit(doc, args.format, args.out, None)
+        _emit(doc, args)
     else:
         reports = run_suite(
             args.suite,
@@ -286,19 +270,12 @@ def _cmd_verify(args) -> int:
             klimek_trials=args.trials,
             seed=args.seed,
         )
-        doc = [_report_doc(r) for r in reports]
-        header = ["name", "lhs", "rhs", "pass", "context"]
-        rows = [
-            [
-                r["name"],
-                json.dumps(r["lhs"], sort_keys=True),
-                json.dumps(r["rhs"], sort_keys=True),
-                str(r["pass"]).lower(),
-                json.dumps(r["context"], sort_keys=True),
-            ]
-            for r in doc
-        ]
-        _emit(doc, args.format, args.out, (header, rows))
+        # built in the call, so that _emit holds the only reference to the unconverted list
+        _emit(
+            [{"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed, "context": r.context}
+             for r in reports],
+            args, _report_rows,
+        )
     failed = any(not r.passed for r in reports)
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -308,7 +285,7 @@ def _cmd_families(args) -> int:
     doc = family.to_json_dict()
     doc["size"] = len(family.masks)
     doc["sets"] = [sorted(mask.elements()) for mask in family.sets]
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 
@@ -331,10 +308,10 @@ def _cmd_primes(args) -> int:
             "stderr": sq.estimate.stderr,
             "ratio": sq.ratio,
             "family_size": sq.family_size,
-            "exact": None if sq.exact is None else _fraction_doc(sq.exact),
+            "exact": sq.exact,
             "agrees_with_exact": sq.agrees_with_exact,
         }
-    _emit(doc, args.format, args.out, _kv_rows(doc))
+    _emit(doc, args, _kv_rows)
     return EXIT_OK
 
 

@@ -1,17 +1,11 @@
 """Probabilist's Hermite polynomials, their rescaled companions, and the
-absolute Gaussian moments E|p(Z)| that appear as dimension-normalized limits
+absolute Gaussian moments E|P_d(Z)| that appear as dimension-normalized limits
 of the projection constants.
 
 h_0 = 1, h_1 = t, h_{n+1} = t*h_n - n*h_{n-1} (orthogonal for the standard
 Gaussian weight).  P_d = h_d / d! satisfies the recursion
 P_d = t^d/d! - sum_{k=1}^{floor(d/2)} P_{d-2k} / (k! 2^k), which is how it is
 built here; the equality with h_d/d! is a test, not an assumption.
-
-The absolute moments need no quadrature: since
-h_k = t*h_{k-1} - h_{k-1}', the Gaussian density phi satisfies
-(h_{k-1} phi)' = -h_k phi, so the integral of h_k phi between two points is a
-difference of h_{k-1} phi, and |p| is integrated piece by piece between the
-real roots of p.
 
 The limit constants take one route for every degree: a sum over the roots of
 h_d, which are the eigenvalues of its Jacobi matrix, tridiagonal with zero
@@ -144,54 +138,8 @@ def hermite_roots(d: int) -> list[float]:
     return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)).tolist()
 
 
-def _real_roots(p: RationalPolynomial) -> list[float]:
-    """Real roots of p, ascending, from the companion matrix.
-
-    Good enough as cuts for abs_gaussian_moment: an error delta in a root
-    moves the integral by O(delta^2), since the integrand vanishes there.
-    """
-    roots = np.polynomial.polynomial.polyroots([float(c) for c in p.coeffs])
-    return sorted(float(r.real) for r in roots if abs(r.imag) <= 1e-8 * (1 + abs(r)))
-
-
 def _gaussian_density(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
-
-
-def _hermite_coefficients(p: RationalPolynomial) -> list[Fraction]:
-    """c with p = sum_k c_k h_k, exactly: peel off the leading term (h_k is monic)."""
-    c = [Fraction(0)] * (p.degree() + 1)
-    while not p.is_zero():
-        k = p.degree()
-        c[k] = p.coeffs[k]
-        p = p - hermite_poly(k).scaled(c[k])
-    return c
-
-
-def abs_gaussian_moment(p: RationalPolynomial) -> float:
-    """E|p(Z)| for standard normal Z, in closed form.
-
-    (h_{k-1} phi)' = -h_k phi, so with p = sum_k c_k h_k an antiderivative of
-    p phi is F = c_0 Phi - phi sum_{k>=1} c_k h_{k-1}, with F(-inf) = 0 and
-    F(+inf) = c_0.  p keeps one sign between consecutive real roots, so
-    E|p| = sum |F(r_{i+1}) - F(r_i)| over the cuts -inf < r_1 < ... < +inf.
-    A spurious or repeated root only splits an interval of one sign, and a
-    missed root of even multiplicity is no sign change.
-    """
-    if p.is_zero():
-        return 0.0
-    c = [float(ck) for ck in _hermite_coefficients(p)]
-
-    def antiderivative(t: float) -> float:
-        # sum_k c_k h_{k-1}(t), h by the three-term recurrence
-        acc, h_prev, h = 0.0, 0.0, 1.0
-        for k in range(1, len(c)):
-            acc += c[k] * h
-            h_prev, h = h, t * h - (k - 1) * h_prev
-        return 0.5 * c[0] * math.erfc(-t / math.sqrt(2)) - _gaussian_density(t) * acc
-
-    values = [0.0, *(antiderivative(r) for r in _real_roots(p)), c[0]]
-    return math.fsum(abs(b - a) for a, b in zip(values, values[1:]))
 
 
 def normalized_limit_constant(d: int) -> float:

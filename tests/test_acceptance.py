@@ -10,6 +10,7 @@ small cases.
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -32,9 +33,11 @@ def announce(num: int, ok: bool, detail: str) -> None:
 
 
 def run_cli_bytes(*argv: str) -> tuple[int, bytes]:
+    # the subprocess imports the package the tests import, installed or not
+    src = os.path.dirname(os.path.dirname(cc.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "cube_constants.cli", *argv],
-        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
     )
     return proc.returncode, proc.stdout
 

@@ -1,6 +1,7 @@
 """Command line behavior: output documents, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -419,8 +420,12 @@ class TestVerifyCommand:
         assert doc["identity"] is True
 
     def test_written_document_is_the_dumped_string(self, capsys, tmp_path):
-        doc = [cli._report_doc(r) for r in verify.run_suite("range", max_n=8)]
-        want = json.dumps(cli._jsonable(doc), sort_keys=True, indent=2) + "\n"
+        # the range reports hold only str, int, float, bool and dict values
+        doc = [
+            {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "pass": r.passed, "context": r.context}
+            for r in verify.run_suite("range", max_n=8)
+        ]
+        want = json.dumps(doc, sort_keys=True, indent=2) + "\n"
         argv = ["verify", "--suite", "range", "--max-n", "8"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -446,6 +451,83 @@ class TestVerifyCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "#cube-constants v1"
         assert lines[1] == "name,lhs,rhs,pass,context"
+
+
+def _csv_table(out: str) -> list[list[str]]:
+    banner, _, body = out.partition("\n")
+    assert banner == "#cube-constants v1"
+    return list(csv.reader(io.StringIO(body)))
+
+
+def _compact(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+class TestCsvAgreesWithJson:
+    """Every CSV cell, rebuilt from the JSON document of the same request."""
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--family", "homog:5:2"],
+        ["exact", "--N", "40", "--d", "3", "--mode", "upto"],
+        ["mc", "--family", "homog:6:2", "--samples", "2000", "--seed", "3"],
+        ["limit", "--d", "3"],
+        ["limit", "--d", "3", "--N", "8,12"],
+        ["sidon", "--family", "upto:3:2"],
+        ["kappa", "--tol", "1e-3"],
+        ["families", "--family", "homog:4:2"],
+        ["primes", "--N", "10"],
+        ["primes", "--N", "16", "--samples", "2000"],
+    ])
+    def test_key_value_commands(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        want = [["key", "value"]] + [
+            [key, _compact(value) if isinstance(value, (dict, list)) else str(value)]
+            for key, value in sorted(doc.items())
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert _csv_table(out) == want
+
+    def test_table(self, capsys):
+        _, out, _ = run_cli(capsys, "table", "--format", "json")
+        header = ["d", "limit_constant", "normalized", "reference_value"]
+        want = [header] + [[str(row[key]) for key in header]
+                           for row in json.loads(out)["rows"]]
+        code, out, _ = run_cli(capsys, "table", "--format", "csv")
+        assert code == 0
+        assert _csv_table(out) == want
+
+    def test_verify_range(self, capsys):
+        argv = ["verify", "--suite", "range", "--max-n", "5"]
+        _, out, _ = run_cli(capsys, *argv)
+        want = [["name", "lhs", "rhs", "pass", "context"]] + [
+            [r["name"], _compact(r["lhs"]), _compact(r["rhs"]),
+             "true" if r["pass"] else "false", _compact(r["context"])]
+            for r in json.loads(out)
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert _csv_table(out) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--family", "homog:4:2"],
+    ["verify", "--suite", "range", "--max-n", "6"],
+])
+def test_json_output_builds_no_csv_rows(capsys, monkeypatch, argv):
+    def refuse(doc):
+        raise AssertionError("CSV rows built")
+
+    monkeypatch.setattr(cli, "_kv_rows", refuse)
+    monkeypatch.setattr(cli, "_report_rows", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out)
+    # the patched builders are the ones a CSV request calls
+    with pytest.raises(AssertionError, match="CSV rows built"):
+        cli.main(argv + ["--format", "csv"])
 
 
 class TestFamiliesCommand:
